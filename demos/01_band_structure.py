@@ -8,17 +8,16 @@ available.
 """
 import numpy as np
 
-from stepslab import (UnitCell, derived_constants, find_bands,
-                      is_commensurate, lyapunov, spectral_period)
+from stepslab import (UnitCell, find_bands, is_commensurate, lyapunov,
+                      spectral_period)
 
 cell = UnitCell(b1=1.0, b2=4.0, x2=0.2)
-cons = derived_constants(cell)
 
 print("Two-step cell: slowness b2 =", cell.b2, "on [0, 0.2), b1 =", cell.b1, "on [0.2, 1)")
-print(f"  interface contrast d       = {cons.contrast}")
-print(f"  impedance mismatch         = {cons.mismatch}")
-print(f"  cell transit time          = {cons.transit_time}")
-print(f"  layer transit-time skew    = {cons.transit_skew}")
+print(f"  interface contrast d       = {cell.contrast}")
+print(f"  impedance mismatch         = {cell.mismatch}")
+print(f"  cell transit time          = {cell.transit_time}")
+print(f"  layer transit-time skew    = {cell.transit_skew}")
 print(f"  equal transit times?       = {is_commensurate(cell)}")
 print()
 

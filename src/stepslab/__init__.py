@@ -15,8 +15,7 @@ from .errors import (BandMismatchError, BoundaryValueWarning, ContourError,
                      HomogeneousCellError, InvalidRangeError,
                      NotCommensurateError, PoleProximityError,
                      RecursionPoleError, StepslabError)
-from .medium import (CellConstants, SlabConfig, UnitCell, derived_constants,
-                     is_commensurate, spectral_period,
+from .medium import (UnitCell, is_commensurate, spectral_period,
                      transparency_frequencies)
 from .mobius import (FixedPointAnalysis, FixedPointKind, IterateResult,
                      MobiusMap, fixed_points, iterate_limit, mobius_map, r1,
@@ -27,8 +26,8 @@ from .monodromy import (Band, BlochData, EdgeType, MonodromyMatrix, Regime,
 from .resolvent import (ChainDeterminants, ConvergenceRow, Resonance, Window,
                         audit_count, chain_determinants, convergence_study,
                         count_zeros_rectangle, default_im_floor,
-                        find_resonances, q_recursion, q_sequence,
-                        reflection_via_q, resonances_k1)
+                        find_resonances, q_recursion, reflection_via_q,
+                        resonances_k1)
 from .scattering import (perfect_transmission_frequencies,
                          reflection_half_infinite, reflection_k,
                          transmission_sq)
@@ -36,15 +35,14 @@ from .scattering import (perfect_transmission_frequencies,
 __version__ = "0.1.0"
 
 __all__ = [
-    "UnitCell", "SlabConfig", "CellConstants", "derived_constants",
-    "is_commensurate", "spectral_period", "transparency_frequencies",
+    "UnitCell", "is_commensurate", "spectral_period", "transparency_frequencies",
     "MonodromyMatrix", "BlochData", "Band", "EdgeType", "Regime",
     "monodromy", "lyapunov", "lyapunov_derivative", "lyapunov_curvature",
     "bloch", "transfer_power", "find_bands",
     "reflection_k", "transmission_sq", "perfect_transmission_frequencies",
     "reflection_half_infinite",
     "Window", "Resonance", "ChainDeterminants", "ConvergenceRow",
-    "q_recursion", "q_sequence", "chain_determinants", "resonances_k1",
+    "q_recursion", "chain_determinants", "resonances_k1",
     "find_resonances", "audit_count", "count_zeros_rectangle",
     "reflection_via_q", "convergence_study", "default_im_floor",
     "MobiusMap", "FixedPointAnalysis", "FixedPointKind", "IterateResult",

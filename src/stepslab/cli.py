@@ -26,7 +26,7 @@ from .medium import UnitCell, transparency_frequencies
 from .mobius import fixed_points, iterate_limit, mobius_map, r1
 from .monodromy import find_bands
 from .resolvent import (Window, convergence_study, default_im_floor,
-                        find_resonances, resonances_k1)
+                        find_resonances)
 from .scattering import reflection_k, transmission_sq
 
 EXIT_OK = 0
@@ -202,29 +202,14 @@ def cmd_converge(cfg: dict) -> int:
     k_list = cfg["k_list"]
     if not k_list:
         raise ValueError("converge requires --k-list")
-    if any(b < a for a, b in zip(k_list, k_list[1:])):
-        raise ValueError("k-list must be non-decreasing")
     bands = find_bands(cell, cfg["lambda_max"])
     idx = cfg["band_index"]
     matches = [b for b in bands if b.index == idx]
     if not matches:
         raise ValueError(f"no band with index {idx} below lambda-max={cfg['lambda_max']}")
-    band = matches[0]
     header = ["k", "count", "max_im", "min_im"]
-    rows: list[dict] = []
-    for k in k_list:
-        if k == 1:
-            pad = 1e-6 + 1e-3 * band.width
-            found = resonances_k1(cell, band.hi + pad, max(band.lo - pad, 0.0))
-            found = [r for r in found if r.lam.imag >= cfg["im_min"]]
-            ims = [r.lam.imag for r in found]
-            rows.append({"k": 1, "count": len(found),
-                         "max_im": max(ims) if ims else None,
-                         "min_im": min(ims) if ims else None})
-        else:
-            row = convergence_study(cell, band, [k], im_floor=cfg["im_min"])[0]
-            rows.append({"k": row.k, "count": row.count,
-                         "max_im": row.max_im, "min_im": row.min_im})
+    rows = [row._asdict() for row in
+            convergence_study(cell, matches[0], k_list, im_floor=cfg["im_min"])]
     _emit(header, rows, _meta(cfg, "converge"), cfg["format"], cfg["output"])
     return EXIT_OK
 

@@ -27,9 +27,8 @@ class PoleProximityError(StepslabError, ArithmeticError):
 
 
 class RecursionPoleError(StepslabError, ArithmeticError):
-    """An intermediate denominator of the linear-fractional recursion
-    vanished; the point is a pole of an intermediate term, not
-    necessarily a resonance."""
+    """A denominator of the linear-fractional recursion vanished; the
+    point is a pole of the recursion value, not a resonance."""
 
     def __init__(self, lam, index, message=None):
         self.lam = lam

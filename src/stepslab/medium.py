@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 #: Relative tolerance of the equal-transit-time test.  Double precision
 #: cannot meaningfully distinguish finer, and every downstream
@@ -57,22 +56,6 @@ class UnitCell:
         return self.b1 == self.b2
 
 
-class CellConstants(NamedTuple):
-    contrast: float
-    mismatch: float
-    transit_time: float
-    transit_skew: float
-
-
-def derived_constants(cell: UnitCell) -> CellConstants:
-    """Contrast, mismatch and the two phase lengths of a cell.
-
-    The dispersion function depends on the cell only through these four
-    numbers, so they are computed in one place.
-    """
-    return CellConstants(cell.contrast, cell.mismatch, cell.transit_time, cell.transit_skew)
-
-
 def is_commensurate(cell: UnitCell) -> bool:
     """True when the two layers have equal transit times: b2*x2 == b1*(1 - x2).
 
@@ -101,18 +84,3 @@ def transparency_frequencies(cell: UnitCell, lambda_max: float) -> list[float]:
     step = math.pi / (cell.x2 * cell.b2)
     return [m * step for m in range(1, int(lambda_max / step) + 1) if m * step <= lambda_max]
 
-
-@dataclass(frozen=True)
-class SlabConfig:
-    """A finite slab: k identical cells on [0, k], uniform b1 outside."""
-
-    cell: UnitCell
-    k: int
-
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"cell count must be a positive integer, got k={self.k}")
-
-    @property
-    def commensurate(self) -> bool:
-        return is_commensurate(self.cell)

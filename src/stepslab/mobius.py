@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (EdgeDegeneracyError, HomogeneousCellError,
                      NotCommensurateError)
 from .medium import UnitCell, is_commensurate
+from .monodromy import chebyshev_pair
 
 #: |eta - 1| below this marks a degenerate edge, where the map collapses
 #: to the identity.
@@ -44,16 +45,17 @@ class MobiusMap:
     ``eta = exp(2i lam b2 x2)`` the round-trip phase of one layer; for
     real frequencies |eta| = 1 and the composition maps the open unit
     disk onto itself.  Iterating from 0 reproduces the slab reflection
-    coefficients: apply(r_k) = r_{k+1} with r_0 = 0.
+    coefficients: apply(r_k) = r_{k+1} with r_0 = 0.  ``w`` is its unimodular matrix.
     """
 
     eta: complex
     d: float
     lam: float
+    w: tuple[complex, complex, complex, complex]
 
     def apply(self, z):
-        inner = self.eta * (self.d - self.eta * z) / (1.0 - self.d * self.eta * z)
-        return (self.d - inner) / (1.0 - self.d * inner)
+        a, b, c, e = self.w
+        return (a * z + b) / (c * z + e)
 
     def __call__(self, z):
         return self.apply(z)
@@ -65,8 +67,13 @@ def mobius_map(cell: UnitCell, lam: float) -> MobiusMap:
         raise NotCommensurateError(
             "map requires equal layer transit times: b2*x2 == b1*(1 - x2)")
     lam = float(lam)
+    d = cell.contrast
     eta = cmath.exp(2j * lam * cell.b2 * cell.x2)
-    return MobiusMap(eta, cell.contrast, lam)
+    # [[-1, d], [-d, 1]] diag(eta, 1) [[-1, d], [-d, 1]] diag(eta, 1) / ((1 - d^2) eta)
+    norm = (1.0 - d * d) * eta
+    w = (eta * (eta - d * d) / norm, d * (1.0 - eta) / norm,
+         d * eta * (eta - 1.0) / norm, (1.0 - d * d * eta) / norm)
+    return MobiusMap(eta, d, lam, w)
 
 
 def r1(cell: UnitCell, lam):
@@ -151,13 +158,14 @@ class IterateResult:
 
 def iterate_limit(cell: UnitCell, lam: float, z0: complex,
                   max_iter: int = 10_000) -> IterateResult:
-    """Iterate the one-cell map from z0 and report the limit behavior.
+    """Iterate the one-cell map max_iter = N times from z0 and report the limit.
 
-    Hyperbolic and parabolic frequencies converge to a unimodular fixed
-    point (the half-infinite reflection coefficient); elliptic
-    frequencies keep rotating and are reported unconverged with the last
-    orbit point.  At a degenerate edge the map is the identity and z0 is
-    returned immediately.
+    z_{N-1} and z_N come from the powers W^n = U_{n-1} W - U_{n-2} I of the
+    map's matrix; |z_N - z_{N-1}| < 1e-10 counts as converged.  Hyperbolic
+    and parabolic frequencies converge to a unimodular fixed point (the
+    half-infinite reflection coefficient); elliptic frequencies keep
+    rotating and are reported unconverged with z_N.  At a degenerate edge
+    the map is the identity and z0 is returned immediately.
     """
     if abs(z0) >= 1.0:
         raise ValueError(f"start point must lie inside the unit disk, got |z0|={abs(z0)}")
@@ -169,10 +177,11 @@ def iterate_limit(cell: UnitCell, lam: float, z0: complex,
         kind = None
     else:
         kind = fixed_points(cell, lam).kind
-    z = complex(z0)
-    for _ in range(max_iter):
-        znew = fmap.apply(z)
-        if abs(znew - z) < 1e-10:
-            return IterateResult(True, znew, kind)
-        z = znew
-    return IterateResult(False, z, kind)
+    a, b, c, e = fmap.w
+    f = 0.5 * (a + e).real
+    sign = math.copysign(1.0, f)
+    u, v, _ = chebyshev_pair(sign, sign * f - 1.0, max_iter)
+    # z_n is the action of U_{n-1} W - U_{n-2} I on z0; U_{N-3} = 2f U_{N-2} - U_{N-1}
+    z_prev, z_last = (((p * a - q) * z0 + p * b) / (p * c * z0 + p * e - q)
+                      for p, q in ((v, 2.0 * f * v - u), (u, v)))
+    return IterateResult(bool(abs(z_last - z_prev) < 1e-10), complex(z_last), kind)

@@ -154,33 +154,55 @@ def lyapunov_curvature(cell: UnitCell, lam):
                   + (rho - 1.0) * ts * ts * np.cos(lam * ts))
 
 
-def _cheb_pair(f, k: int):
-    """U_{k-1}(f) and U_{k-2}(f) of the recurrence U_j = 2f U_{j-1} - U_{j-2}.
+def _band_offset(cell: UnitCell, lam):
+    """sign(Re F) and g = sign(Re F) F - 1 by half angles, at full precision near F = +-1:
+    F - 1 = (rho-1) sin^2(lam skew/2) - (rho+1) sin^2(lam tau/2), -F - 1 likewise with cos^2."""
+    rho = cell.mismatch
+    a, b = 0.5 * lam * cell.transit_time, 0.5 * lam * cell.transit_skew
+    below = (rho - 1.0) * np.sin(b) ** 2 - (rho + 1.0) * np.sin(a) ** 2
+    above = (rho - 1.0) * np.cos(b) ** 2 - (rho + 1.0) * np.cos(a) ** 2
+    sign = np.copysign(1.0, np.real(below - above))
+    return sign, np.where(sign > 0.0, below, above)
 
-    U_0 = 1, U_1 = 2f, so U_j(cos t) = sin((j+1)t)/sin(t).  The recurrence
-    is entire in f, which keeps band edges (sin t -> 0) regular.
+
+def chebyshev_pair(sign, g, k: int):
+    """(U_{k-1}(f), U_{k-2}(f)) = 2**e (u, v) at f = sign (1 + g); M^k = 2**e (u M - v I).
+
+    Binary doubling of U_j = 2f U_{j-1} - U_{j-2} (U_0 = 1, U_{-1} = 0) in O(log k),
+    rescaled by an exact power of two per level so that nothing overflows.  It
+    carries D = U_{n-1} - U_{n-2} and g (Reinsch's form), accurate at the band edges.
     """
-    u = 1.0 + 0.0 * f
-    u_prev = 0.0 * f
-    for _ in range(k - 1):
-        u, u_prev = 2.0 * f * u - u_prev, u
-    return u, u_prev
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"cell count must be a positive integer, got {k!r}")
+    h = 2.0 * g
+    u = d = 1.0 + 0.0 * h
+    e = np.int64(0)
+    for bit in bin(k)[3:]:
+        hu = h * u  # U_{2n-1} = 2U(gU + D), D_{2n-1} = 2gU^2 + D^2
+        u, d = u * (hu + 2.0 * d), hu * u + d * d
+        if bit == "1":  # D_n = D + 2gU, U_n = U + D_n
+            d = d + h * u
+            u = u + d
+        t = abs(u) + abs(d)
+        s, ex = np.frexp(t)
+        s /= t  # exactly 2**-ex
+        u, d, e = u * s, d * s, 2 * e + ex
+    v = u - d  # U_{k-2}; U_j(f) = sign**j U_j(sign f)
+    return (u, v * sign, e) if k % 2 else (u * sign, v, e)
 
 
 def transfer_power(cell: UnitCell, lam, k: int) -> MonodromyMatrix:
     """Propagator over k cells: M^k = U_{k-1}(F) M - U_{k-2}(F) I.
 
-    Never forms matrix products or an explicit Bloch phase; the
-    Chebyshev-style recurrence in F is branch free in all of the
-    complex plane.
+    Never forms matrix products or an explicit Bloch phase; the O(log k)
+    ``chebyshev_pair`` is branch free in all of the complex plane.  Entries
+    beyond the floating-point range come out infinite.
     """
-    if k < 1:
-        raise ValueError(f"cell count must be >= 1, got {k}")
     m = monodromy(cell, lam)
-    f = 0.5 * (m.alpha + m.delta)
-    u, u_prev = _cheb_pair(f, k)
-    return MonodromyMatrix(u * m.alpha - u_prev, u * m.beta,
-                           u * m.gamma, u * m.delta - u_prev)
+    u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
+    s = np.ldexp(1.0, e)
+    return MonodromyMatrix(s * (u * m.alpha - v), s * u * m.beta,
+                           s * u * m.gamma, s * (u * m.delta - v))
 
 
 def _select_band_multiplier(cell: UnitCell, lam_re: float, f: float) -> complex:

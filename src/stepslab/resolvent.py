@@ -18,13 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BandMismatchError, ContourError,
-                     ContourThroughZeroError, DeterminantOverflowError,
-                     EmptyWindowWarning, InvalidRangeError,
-                     PoleProximityError, RecursionPoleError)
+from .errors import (BandMismatchError, ContourThroughZeroError,
+                     DeterminantOverflowError, EmptyWindowWarning,
+                     InvalidRangeError, PoleProximityError, RecursionPoleError)
 from .medium import UnitCell
 from .monodromy import Band, find_bands
-from .scattering import perfect_transmission_frequencies
+from .scattering import (_blockwise, _quotient, _slab_terms,
+                         perfect_transmission_frequencies)
 
 #: A converged root must satisfy |d*Q - 1| below this.
 RESIDUAL_TOL = 1e-10
@@ -36,7 +36,6 @@ DEDUP_RADIUS = 1e-6
 _IM_CEILING = -1e-12
 
 _NEWTON_MAX_ITER = 50
-_POLE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -74,55 +73,20 @@ def default_im_floor(cell: UnitCell) -> float:
     return -1.0 / (cell.b2 * cell.x2)
 
 
-def q_recursion(cell: UnitCell, lam, k: int, check_poles: bool = True):
+@_blockwise
+def q_recursion(cell: UnitCell, lam, k: int):
     """Terminal recursion value Q over the 2k interfaces of a k-cell slab.
 
     Starting from Q = d * exp(2i lam b2 x2), each additional cell applies
     an odd step with phase exp(2i lam b1 (1-x2)) and contrast -d, then an
-    even step with phase exp(2i lam b2 x2) and contrast +d.  For
-    Im lam >= 0 every intermediate value stays inside the unit disk.
-    Accepts scalar or array lam; intermediate-pole checking applies to
-    scalars only (array mode lets inf/nan propagate).
+    even step with phase exp(2i lam b2 x2) and contrast +d, which ends at
+    Q = (d - r_k)/(1 - d r_k).  For Im lam >= 0 |Q| < 1.  Accepts scalar
+    or array lam; the check of Q's pole applies to scalars only.
     """
-    if k < 1:
-        raise ValueError(f"cell count must be >= 1, got {k}")
     d = cell.contrast
-    scalar = np.ndim(lam) == 0
-    ph_even = np.exp(2j * np.asarray(lam) * cell.b2 * cell.x2)
-    ph_odd = np.exp(2j * np.asarray(lam) * cell.b1 * (1.0 - cell.x2))
-    q = d * ph_even
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(2, k + 1):
-            den = 1.0 - d * q
-            if scalar and check_poles and abs(den) < 1e-14:
-                raise RecursionPoleError(lam, 2 * j - 1)
-            q = ph_odd * (-d + q) / den
-            den = 1.0 + d * q
-            if scalar and check_poles and abs(den) < 1e-14:
-                raise RecursionPoleError(lam, 2 * j)
-            q = ph_even * (d + q) / den
-    return complex(q) if scalar else q
-
-
-def q_sequence(cell: UnitCell, lam: complex, k: int) -> list[complex]:
-    """All intermediate recursion values Q_2, Q_3, ..., Q_2k (scalar lam)."""
-    d = cell.contrast
-    ph_even = np.exp(2j * complex(lam) * cell.b2 * cell.x2)
-    ph_odd = np.exp(2j * complex(lam) * cell.b1 * (1.0 - cell.x2))
-    q = d * ph_even
-    out = [q]
-    for j in range(2, k + 1):
-        den = 1.0 - d * q
-        if abs(den) < 1e-14:
-            raise RecursionPoleError(lam, 2 * j - 1)
-        q = ph_odd * (-d + q) / den
-        out.append(q)
-        den = 1.0 + d * q
-        if abs(den) < 1e-14:
-            raise RecursionPoleError(lam, 2 * j)
-        q = ph_even * (d + q) / den
-        out.append(q)
-    return out
+    num, den, _ = _slab_terms(cell, lam, k)
+    return _quotient(d * den - num, den - d * num, lam,
+                     lambda: RecursionPoleError(lam, 2 * k))
 
 
 class ChainDeterminants(NamedTuple):
@@ -213,27 +177,25 @@ def _assign_band(bands: list[Band], re: float, tol: float = 1e-6) -> int | None:
 
 
 def _resonance_condition(cell: UnitCell, k: int, z):
+    """d Q - 1 at z and its central difference slope, step 1e-7 (1 + |z|), in one call."""
+    step = 1e-7 * (1.0 + np.abs(z))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return cell.contrast * q_recursion(cell, z, k, check_poles=False) - 1.0
+        q = q_recursion(cell, np.concatenate([z, z + step, z - step]), k)
+        h, hp, hm = np.split(cell.contrast * q - 1.0, 3)
+        return h, (hp - hm) / (2.0 * step)
 
 
 def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
     """Vectorized damped-free Newton on the resonance condition.
 
-    The derivative is a central finite difference with step
-    1e-7*(1+|z|); the condition is analytic away from intermediate
-    recursion poles, so a real-direction difference equals the complex
-    derivative.  Seeds that start on an intermediate pole are nudged by
-    1e-5 once; runs that lose finiteness are dropped.  Converged points
-    receive one extra polishing step, which drives residuals toward
-    machine level.
+    The condition is analytic away from the poles of Q, so the
+    real-direction difference of ``_resonance_condition`` equals the
+    complex derivative.  Runs that lose finiteness are dropped.
+    Converged points receive one extra polishing step, which drives
+    residuals toward machine level.
     """
     z = seeds.astype(complex).copy()
-    h = _resonance_condition(cell, k, z)
-    bad = ~np.isfinite(h)
-    if np.any(bad):
-        z[bad] += 1e-5
-        h[bad] = _resonance_condition(cell, k, z[bad])
+    h, dh = _resonance_condition(cell, k, z)
     alive = np.isfinite(h)
     iters = np.zeros(z.shape, dtype=int)
     polish = np.zeros(z.shape, dtype=int)
@@ -241,17 +203,14 @@ def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
-        za = z[idx]
-        step = 1e-7 * (1.0 + np.abs(za))
-        dh = (_resonance_condition(cell, k, za + step)
-              - _resonance_condition(cell, k, za - step)) / (2.0 * step)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            znew = za - h[idx] / dh
-        hnew = _resonance_condition(cell, k, znew)
+            znew = z[idx] - h[idx] / dh[idx]
+        hnew, dhnew = _resonance_condition(cell, k, znew)
         ok = np.isfinite(znew) & np.isfinite(hnew)
         good = idx[ok]
         z[good] = znew[ok]
         h[good] = hnew[ok]
+        dh[good] = dhnew[ok]
         iters[good] = it
         alive[idx[~ok]] = False
         hit = good[np.abs(hnew[ok]) <= RESIDUAL_TOL]
@@ -345,20 +304,12 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
 def reflection_via_q(cell: UnitCell, lam, k: int):
     """Slab reflection through the interface recursion: r = (d - Q)/(1 - d Q).
 
-    Must agree with the propagator route; its poles in the lower half
-    plane are exactly the resonances.  Scalar lam raises PoleProximity at
-    a pole; arrays let inf propagate.
+    Its poles in the lower half plane are exactly the resonances.  Scalar
+    lam raises PoleProximityError at a pole; arrays let inf propagate.
     """
     d = cell.contrast
-    q = q_recursion(cell, lam, k, check_poles=np.ndim(lam) == 0)
-    num = d - q
-    den = 1.0 - d * q
-    if np.ndim(lam) == 0:
-        if abs(den) < _POLE_RTOL * max(1.0, abs(num)):
-            raise PoleProximityError(lam)
-        return num / den
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den
+    q = q_recursion(cell, lam, k)
+    return _quotient(d - q, 1.0 - d * q, lam, lambda: PoleProximityError(lam))
 
 
 def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
@@ -433,23 +384,23 @@ def convergence_study(cell: UnitCell, band: Band, k_list: list[int],
     """Depth of the band's resonances as the slab grows.
 
     For each k the full resonance set over the band window is computed
-    and the extreme imaginary parts recorded; max_im must climb toward
-    zero as k increases.
+    (k = 1 by the closed form) and the extreme imaginary parts recorded;
+    max_im must climb toward zero as k increases.
     """
-    if any(k < 2 for k in k_list):
-        raise ValueError("convergence study requires k >= 2")
+    if any(k < 1 for k in k_list):
+        raise ValueError("convergence study requires k >= 1")
     if any(nxt < prev for prev, nxt in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be non-decreasing")
     if im_floor is None:
         im_floor = default_im_floor(cell)
     pad = 1e-6 + 1e-3 * band.width
+    lo, hi = max(band.lo - pad, 0.0), band.hi + pad
     rows = []
     for k in k_list:
-        found = find_resonances(cell, k, Window(max(band.lo - pad, 0.0),
-                                                band.hi + pad, im_floor))
-        if found:
-            ims = [r.lam.imag for r in found]
-            rows.append(ConvergenceRow(k, len(found), max(ims), min(ims)))
+        if k == 1:
+            found = [r for r in resonances_k1(cell, hi, lo) if r.lam.imag >= im_floor]
         else:
-            rows.append(ConvergenceRow(k, 0, None, None))
+            found = find_resonances(cell, k, Window(lo, hi, im_floor))
+        ims = [r.lam.imag for r in found]
+        rows.append(ConvergenceRow(k, len(ims), max(ims, default=None), min(ims, default=None)))
     return rows

@@ -6,6 +6,7 @@ the left of the slab, a pure transmitted wave on the right.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -14,57 +15,73 @@ import numpy as np
 from .errors import (BandMismatchError, BoundaryValueWarning,
                      EdgeDegeneracyError, PoleProximityError)
 from .medium import UnitCell, transparency_frequencies
-from .monodromy import (Band, Regime, _cheb_pair, bloch, lyapunov, monodromy,
-                        transfer_power)
+from .monodromy import (Band, Regime, _band_offset, _bisect, bloch,
+                        chebyshev_pair, lyapunov, monodromy)
 
-#: Denominator-to-numerator ratio below which a reflection quotient is
-#: treated as a pole hit (below double-precision meaningfulness).
+#: Denominator-to-numerator ratio below which a quotient is treated as a
+#: pole hit (below double-precision meaningfulness).
 _POLE_RTOL = 1e-13
 
 
-def reflection_k(cell: UnitCell, lam, k: int):
-    """Slab reflection coefficient from the k-cell propagator entries.
+def _blockwise(fn, size=1 << 12):
+    """Run fn(cell, lam, k) on blocks of at most size frequencies; bounds its temporaries."""
+    @functools.wraps(fn)
+    def blocked(cell, lam, k):
+        if np.size(lam) <= size:
+            return fn(cell, lam, k)
+        flat = np.ravel(lam)
+        return np.concatenate([fn(cell, flat[i:i + size], k)
+                               for i in range(0, flat.size, size)]).reshape(np.shape(lam))
+    return blocked
 
-    r_k = (d_k - a_k - i(b1 g_k + b_k/b1)) / (d_k + a_k + i(b1 g_k - b_k/b1))
-    with (a_k, b_k, g_k, d_k) the entries of the k-cell propagator.  The
-    quotient is analytic in the closed upper half plane and meromorphic
-    below it, with poles exactly at the resonances.  Accepts scalar or
-    array lam; the pole check applies to scalars only.
-    """
-    if k < 1:
-        raise ValueError(f"cell count must be >= 1, got {k}")
-    mk = transfer_power(cell, lam, k)
-    b1 = cell.b1
-    num = mk.delta - mk.alpha - 1j * (b1 * mk.gamma + mk.beta / b1)
-    den = mk.delta + mk.alpha + 1j * (b1 * mk.gamma - mk.beta / b1)
+
+def _quotient(num, den, lam, pole_error):
+    """num/den; for scalar lam, raise pole_error() when den is negligible."""
     if np.ndim(lam) == 0:
         if abs(den) < _POLE_RTOL * max(1.0, abs(num)):
-            raise PoleProximityError(lam)
+            raise pole_error()
         return complex(num) / complex(den)
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / den
 
 
+def _slab_terms(cell: UnitCell, lam, k: int):
+    """(u N, u S - 2v, e): r_k = u N / (u S - 2v) from the k-cell entries 2**e (u M - v I)
+    and the one-cell N = d - a - i(b1 g + b/b1) and S = a + d + i(b1 g - b/b1)."""
+    m = monodromy(cell, lam)
+    b1g, bb1 = cell.b1 * m.gamma, m.beta / cell.b1
+    u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
+    return (u * (m.delta - m.alpha - 1j * (b1g + bb1)),
+            u * (m.alpha + m.delta + 1j * (b1g - bb1)) - 2.0 * v, e)
+
+
+@_blockwise
+def reflection_k(cell: UnitCell, lam, k: int):
+    """Slab reflection coefficient from the k-cell propagator entries.
+
+    r_k = (d_k - a_k - i(b1 g_k + b_k/b1)) / (d_k + a_k + i(b1 g_k - b_k/b1))
+    with (a_k, b_k, g_k, d_k) the entries of the k-cell propagator (see
+    ``_slab_terms``).  The quotient is analytic in the closed upper half
+    plane and meromorphic below it, with poles exactly at the resonances.
+    Accepts scalar or array lam; the pole check applies to scalars only.
+    """
+    num, den, _ = _slab_terms(cell, lam, k)
+    return _quotient(num, den, lam, lambda: PoleProximityError(lam))
+
+
+@_blockwise
 def transmission_sq(cell: UnitCell, lam, k: int):
     """Transmission probability |t_k|^2 at real frequencies.
 
-    |t_k|^2 = 4 / (U_{k-1}(F)^2 ((a-d)^2 + (b1 g + b/b1)^2) + 4), which is
-    finite for every real frequency, band edges included, and lies in
-    (0, 1].
+    |t_k|^2 = 4 / (|U_{k-1}(F) N|^2 + 4), computed as tau / (|num|^2 + tau)
+    with tau = 4 * 2**(-2e), lies in [0, 1] for every real frequency, band
+    edges included (0 below the floating-point range).
     """
-    if k < 1:
-        raise ValueError(f"cell count must be >= 1, got {k}")
-    lam = np.asarray(lam)
-    if np.iscomplexobj(lam):
-        if np.any(lam.imag != 0.0):
-            raise ValueError("transmission probability is defined for real frequencies")
-        lam = lam.real
-    m = monodromy(cell, lam)
-    f = 0.5 * (m.alpha + m.delta)
-    u, _ = _cheb_pair(f, k)
-    b1 = cell.b1
-    q = (m.alpha - m.delta) ** 2 + (b1 * m.gamma + m.beta / b1) ** 2
-    out = 4.0 / (u * u * q + 4.0)
+    if np.any(np.imag(lam) != 0.0):
+        raise ValueError("transmission probability is defined for real frequencies")
+    num, _, e = _slab_terms(cell, np.real(lam), k)
+    tau = np.ldexp(4.0, -2 * e)
+    out = tau / (abs(num) ** 2 + tau)
     return float(out) if out.ndim == 0 else out
 
 
@@ -87,7 +104,7 @@ def perfect_transmission_frequencies(cell: UnitCell, band: Band, k: int) -> list
         target = math.cos(m * math.pi / k)
         if (f_lo - target) * (f_hi - target) > 0.0:
             continue
-        roots.append(_bisect_on(lambda x: f_of(x) - target, band.lo, band.hi))
+        roots.append(_bisect(lambda x: f_of(x) - target, band.lo, band.hi, 1e-12))
 
     for lam0 in transparency_frequencies(cell, band.hi):
         if band.lo + 1e-9 < lam0 < band.hi - 1e-9:
@@ -99,9 +116,8 @@ def perfect_transmission_frequencies(cell: UnitCell, band: Band, k: int) -> list
 def reflection_half_infinite(cell: UnitCell, lam):
     """Reflection coefficient of the half-infinite periodic medium.
 
-    r = ((a - d) + i(b/b1 + b1 g)) / (2i sin(theta) + i(b/b1 - b1 g)) with
-    sin(theta) realized through the selected multiplier,
-    sin(theta) = (mu_plus - 1/mu_plus)/(2i).  On gaps |r| = 1.  At real
+    r = N / (S - 2 mu_plus), the limit of r_k = N / (S - 2 U_{k-2}/U_{k-1})
+    with the selected multiplier mu_plus.  On gaps |r| = 1.  At real
     frequencies strictly inside a band the upper-boundary limit is
     returned and a BoundaryValueWarning is issued, since the finite-slab
     coefficients converge to it only in an averaged sense there.
@@ -110,17 +126,13 @@ def reflection_half_infinite(cell: UnitCell, lam):
     bd = bloch(cell, lam)
     if bd.regime is Regime.DEGENERATE_EDGE:
         raise EdgeDegeneracyError(f"reflection limit indeterminate at degenerate edge {lam}")
-    m = monodromy(cell, lam)
-    b1 = cell.b1
-    sin_theta = (bd.mu_plus - 1.0 / bd.mu_plus) / 2j
-    num = (m.alpha - m.delta) + 1j * (m.beta / b1 + b1 * m.gamma)
-    den = 2j * sin_theta + 1j * (m.beta / b1 - b1 * m.gamma)
-    if abs(den) < _POLE_RTOL * max(1.0, abs(num)):
-        raise EdgeDegeneracyError(f"reflection limit indeterminate at {lam}")
+    n, s, _ = _slab_terms(cell, lam, 1)
+    value = _quotient(n, s - 2.0 * bd.mu_plus, lam, lambda: EdgeDegeneracyError(
+        f"reflection limit indeterminate at {lam}"))
     if bd.regime is Regime.BAND:
         warnings.warn("in-band value is the upper-half-plane boundary limit",
                       BoundaryValueWarning, stacklevel=2)
-    return complex(num) / complex(den)
+    return value
 
 
 def _validate_band(cell: UnitCell, band: Band) -> None:
@@ -131,21 +143,3 @@ def _validate_band(cell: UnitCell, band: Band) -> None:
         raise BandMismatchError(f"band edges do not satisfy |F| = 1 for this cell: {band}")
     if abs(f_of(0.5 * (band.lo + band.hi))) >= 1.0:
         raise BandMismatchError(f"band midpoint is not inside a band for this cell: {band}")
-
-
-def _bisect_on(fn, a: float, b: float, tol: float = 1e-12) -> float:
-    fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)

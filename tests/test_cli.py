@@ -112,6 +112,16 @@ def test_transmission_unitarity_and_determinism(capsys):
     assert out2 == out1  # byte identical
 
 
+def test_transmission_large_k_has_no_nan(capsys):
+    code, out, _ = _run(capsys, ["transmission", *CELL_A, "--k", "600", "--grid-re", "2000",
+                                 "--lambda-max", "40"])
+    assert code == 0
+    _, rows = _rows(out)
+    assert len(rows) == 2000
+    assert not any(v.lower() in ("nan", "-nan", "inf", "-inf")
+                   for row in rows for v in row.values())
+
+
 def test_transmission_homogeneous(capsys):
     code, out, _ = _run(capsys, ["transmission", "--b1", "2", "--b2", "2",
                                  "--x2", "0.4", "--k", "3", "--grid-re", "10"])

@@ -3,27 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from stepslab import (SlabConfig, UnitCell, derived_constants, is_commensurate,
-                      spectral_period, transparency_frequencies)
+from stepslab import (UnitCell, is_commensurate, spectral_period,
+                      transparency_frequencies)
 
 
 def test_derived_constants_reference_cell(cell_a):
-    cons = derived_constants(cell_a)
-    assert cons.contrast == pytest.approx(0.6, abs=1e-15)
-    assert cons.mismatch == pytest.approx(2.125, abs=1e-15)
-    assert cons.transit_time == pytest.approx(1.6, abs=1e-15)
-    assert cons.transit_skew == pytest.approx(0.0, abs=1e-15)
+    assert cell_a.contrast == pytest.approx(0.6, abs=1e-15)
+    assert cell_a.mismatch == pytest.approx(2.125, abs=1e-15)
+    assert cell_a.transit_time == pytest.approx(1.6, abs=1e-15)
+    assert cell_a.transit_skew == pytest.approx(0.0, abs=1e-15)
 
 
 def test_derived_constants_uniform(uniform):
-    cons = derived_constants(uniform)
-    assert cons == (0.0, 1.0, 1.0, 0.0)
+    assert (uniform.contrast, uniform.mismatch, uniform.transit_time,
+            uniform.transit_skew) == (0.0, 1.0, 1.0, 0.0)
 
 
 def test_derived_constants_reversed_cell(cell_c):
-    cons = derived_constants(cell_c)
-    assert cons.contrast == pytest.approx((1.0 - 3.8) / 4.8, abs=1e-15)
-    assert cons.mismatch == pytest.approx((3.8 ** 2 + 1.0) / (2.0 * 3.8), abs=1e-15)
+    assert cell_c.contrast == pytest.approx((1.0 - 3.8) / 4.8, abs=1e-15)
+    assert cell_c.mismatch == pytest.approx((3.8 ** 2 + 1.0) / (2.0 * 3.8), abs=1e-15)
 
 
 @pytest.mark.parametrize("b1,b2,x2,expected", [
@@ -81,11 +79,3 @@ def test_transparency_frequencies(cell_a):
     assert transparency_frequencies(cell_a, 8.0) == pytest.approx([step, 2 * step])
     assert transparency_frequencies(cell_a, 0.5) == []
 
-
-def test_slab_config(cell_a):
-    cfg = SlabConfig(cell_a, 4)
-    assert cfg.commensurate
-    with pytest.raises(ValueError):
-        SlabConfig(cell_a, 0)
-    with pytest.raises(ValueError):
-        SlabConfig(cell_a, 2.5)

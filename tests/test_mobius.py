@@ -149,6 +149,17 @@ def test_disk_preservation(cell_a):
         assert np.all(np.abs(fmap.apply(zs)) < 1.0)
 
 
+def test_iterate_limit_equals_repeated_apply(cell_a):
+    band_pts, gap_pts = _regime_points(cell_a, 4)
+    for lam in band_pts + gap_pts:
+        fmap = mobius_map(cell_a, lam)
+        z0 = r1(cell_a, lam)
+        z = z0
+        for n in range(1, 51):
+            z = fmap.apply(z)
+            assert abs(iterate_limit(cell_a, lam, z0, n).value - z) <= 1e-10
+
+
 def test_iterate_limit_hyperbolic(cell_a):
     lam = math.pi / 1.6
     res = iterate_limit(cell_a, lam, r1(cell_a, lam))

@@ -117,6 +117,15 @@ def test_transfer_power_unit_determinant(cell_a):
             assert abs(mk.det - 1.0) <= 1e-13 * (1.0 + scale) ** 2
 
 
+def test_cell_count_validation(cell_a):
+    # the Chebyshev kernel rejects cell counts that are not positive integers
+    for k in (0, -3, 2.5, True):
+        with pytest.raises(ValueError):
+            transfer_power(cell_a, 1.0, k)
+    with pytest.raises(ValueError):
+        transfer_power(cell_a, np.linspace(0.1, 2.0, 5), 2.5)
+
+
 def test_multiplier_selection_upper_half(cell_family):
     rng = np.random.default_rng(29)
     for cell in cell_family:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from stepslab import (DeterminantOverflowError, EmptyWindowWarning,
                       RecursionPoleError, UnitCell, Window, audit_count,
                       chain_determinants, convergence_study,
                       count_zeros_rectangle, default_im_floor, find_bands,
-                      find_resonances, lyapunov, q_recursion, q_sequence,
+                      find_resonances, lyapunov, q_recursion,
                       reflection_k, reflection_via_q, resonances_k1,
                       spectral_period)
 
@@ -28,7 +29,7 @@ def test_q_contracts_in_upper_half_plane(cell_family):
     for cell in cell_family:
         lams = rng.uniform(0.05, 8.0, 200) + 1j * rng.uniform(0.0, 2.0, 200)
         for lam in lams:
-            assert all(abs(q) < 1.0 for q in q_sequence(cell, complex(lam), 8))
+            assert all(abs(q_recursion(cell, complex(lam), j)) < 1.0 for j in range(1, 9))
 
 
 def test_q_sixteen_interfaces_bounded(cell_a):
@@ -49,7 +50,7 @@ def test_q_matches_determinant_route(cell_a):
     # Q at level 2k+1 equals exp(2 i lam b1 k) * companion / determinant
     d = cell_a.contrast
     lam = 0.37 - 0.21j
-    for k in (1, 2, 3):
+    for k in range(1, 33):
         q2k = q_recursion(cell_a, lam, k)
         q_odd = np.exp(2j * lam * 0.8) * (-d + q2k) / (1.0 - d * q2k)
         dets = chain_determinants(cell_a, lam, k)
@@ -75,12 +76,19 @@ def test_determinant_overflow_guard(cell_a):
 
 
 def test_recursion_pole_reports_index(cell_a):
-    # zeros of the three-step determinant are poles of the next recursion
-    # level; the first one sits on the negative imaginary axis
-    lam_pole = 1j * math.log(0.36) / 1.6
+    # with equal transit times Q_4 = eta (d + Q_3)/(1 + d Q_3), Q_3 =
+    # d eta (eta - 1)/(1 - d^2 eta), eta = exp(1.6 i lam); Q's own pole
+    # 1 - 2 d^2 eta + d^2 eta^2 = 0 sits at eta = 1 + i sqrt(1/d^2 - 1)
+    eta = 1.0 + 1j * math.sqrt(1.0 / 0.36 - 1.0)
+    lam_pole = -1j * cmath.log(eta) / 1.6
     with pytest.raises(RecursionPoleError) as err:
-        q_recursion(cell_a, complex(lam_pole), 2)
-    assert err.value.index == 3
+        q_recursion(cell_a, lam_pole, 2)
+    assert err.value.index == 4
+    # the old intermediate pole (a zero of the three-step determinant) is
+    # a regular point of Q, where Q_4 = eta / d
+    lam_mid = 1j * math.log(0.36) / 1.6
+    assert q_recursion(cell_a, complex(lam_mid), 2) == pytest.approx(
+        np.exp(1.6j * lam_mid) / 0.6, rel=1e-12)
 
 
 def test_one_cell_closed_form(cell_a, cell_b, cell_c, uniform):
@@ -207,6 +215,14 @@ def test_convergence_study_rows(cell_a):
         convergence_study(cell_a, band, [4, 1])
     with pytest.raises(ValueError):
         convergence_study(cell_a, band, [8, 4])
+
+
+def test_convergence_study_k1_uses_closed_form(cell_a):
+    band = find_bands(cell_a, 4.0)[0]
+    row = convergence_study(cell_a, band, [1, 4])[0]
+    closed = [r for r in resonances_k1(cell_a, band.hi) if r.lam.imag >= default_im_floor(cell_a)]
+    assert row.k == 1 and row.count == len(closed) >= 1
+    assert row.max_im == pytest.approx(DEPTH_A1, abs=1e-12)
 
 
 def test_convergence_study_homogeneous(uniform):

@@ -150,3 +150,45 @@ def test_reflection_matches_explicit_one_cell(cell_a):
 def test_reflection_invalid_k(cell_a):
     with pytest.raises(ValueError):
         reflection_k(cell_a, 1.0, 0)
+
+
+@pytest.mark.parametrize("k", [600, 4096, 100_000])
+def test_large_k_real_axis_is_finite_and_unitary(cell_a, cell_b, cell_c, k):
+    # the O(log k) power cannot overflow: no NaN at any k, t stays in
+    # [0, 1] (0 only below the floating-point range, deep in a gap) and
+    # unitarity holds wherever t is representable (about 4e-12 at 1e5)
+    xs = np.linspace(0.002, 40.0, 20_000)
+    for cell in (cell_a, cell_b, cell_c):
+        t = transmission_sq(cell, xs, k)
+        r = reflection_k(cell, xs, k)
+        assert not np.any(np.isnan(t)) and not np.any(np.isnan(r))
+        assert np.all((t >= 0.0) & (t <= 1.0))
+        live = t > 0.0
+        assert np.max(np.abs(np.abs(r[live]) ** 2 + t[live] - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [64, 256])
+def test_reflection_matches_extended_precision_off_axis(cell_a, cell_b, k):
+    # 50-digit reference: the one-cell entries and the O(k) Chebyshev
+    # recurrence U_j = 2F U_{j-1} - U_{j-2} evaluated in mpmath
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for cell in (cell_a, cell_b):
+        b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
+        for lam in (0.37 + 0.21j, 1.9 - 0.12j, 3.3 + 0.05j):
+            z = mp.mpc(lam)
+            arg_sum = z * (x2 * b2 + (1 - x2) * b1)
+            arg_diff = z * (b1 * (1 - x2) - b2 * x2)
+            p, m = b2 + b1, b2 - b1
+            a = (p * mp.cos(arg_sum) + m * mp.cos(arg_diff)) / (2 * b2)
+            b = (p * mp.sin(arg_sum) - m * mp.sin(arg_diff)) / 2
+            g = -(p * mp.sin(arg_sum) + m * mp.sin(arg_diff)) / (2 * b1 * b2)
+            d = (p * mp.cos(arg_sum) - m * mp.cos(arg_diff)) / (2 * b1)
+            f = (a + d) / 2
+            u, v = mp.mpf(1), mp.mpf(0)
+            for _ in range(k - 1):
+                u, v = 2 * f * u - v, u
+            ak, bk, gk, dk = u * a - v, u * b, u * g, u * d - v
+            ref = (dk - ak - 1j * (b1 * gk + bk / b1)) / (dk + ak + 1j * (b1 * gk - bk / b1))
+            got = reflection_k(cell, lam, k)
+            assert abs(got - complex(ref)) <= 1e-12 * abs(complex(ref))
