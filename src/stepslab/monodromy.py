@@ -165,6 +165,13 @@ def _band_offset(cell: UnitCell, lam):
     return sign, np.where(sign > 0.0, below, above)
 
 
+def _cell_count(k):
+    """k, if it is a positive integer (bool is not); ValueError otherwise."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"cell count must be a positive integer, got {k!r}")
+    return k
+
+
 def chebyshev_pair(sign, g, k: int):
     """(U_{k-1}(f), U_{k-2}(f)) = 2**e (u, v) at f = sign (1 + g); M^k = 2**e (u M - v I).
 
@@ -172,8 +179,7 @@ def chebyshev_pair(sign, g, k: int):
     rescaled by an exact power of two per level so that nothing overflows.  It
     carries D = U_{n-1} - U_{n-2} and g (Reinsch's form), accurate at the band edges.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"cell count must be a positive integer, got {k!r}")
+    _cell_count(k)
     h = 2.0 * g
     u = d = 1.0 + 0.0 * h
     e = np.int64(0)

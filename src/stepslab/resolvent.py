@@ -22,7 +22,7 @@ from .errors import (BandMismatchError, ContourThroughZeroError,
                      DeterminantOverflowError, EmptyWindowWarning,
                      InvalidRangeError, PoleProximityError, RecursionPoleError)
 from .medium import UnitCell
-from .monodromy import Band, find_bands
+from .monodromy import Band, _cell_count, find_bands
 from .scattering import (_blockwise, _quotient, _slab_terms,
                          perfect_transmission_frequencies)
 
@@ -36,6 +36,11 @@ DEDUP_RADIUS = 1e-6
 _IM_CEILING = -1e-12
 
 _NEWTON_MAX_ITER = 50
+
+#: A contour count gives up after this many samples (the budget of 2**17
+#: points per side) or when one step has been halved this many times.
+_CONTOUR_MAX_SAMPLES = 4 << 17
+_CONTOUR_MAX_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,7 @@ def chain_determinants(cell: UnitCell, lam, k: int) -> ChainDeterminants:
     intermediate magnitude for scale-aware zero tests.  Raises on
     overflow past 1e300 (the determinant grows like (b1+b2)^(2k)).
     """
-    if k < 1:
-        raise ValueError(f"cell count must be >= 1, got {k}")
+    _cell_count(k)
     lam = np.asarray(lam, dtype=complex)
     b1, b2, x2 = cell.b1, cell.b2, cell.x2
     det = (b1 + b2) * np.ones_like(lam)
@@ -236,8 +240,7 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     required to satisfy the residual tolerance, deduplicated, and
     assigned a band by real-part membership.
     """
-    if k < 1:
-        raise ValueError(f"cell count must be >= 1, got {k}")
+    _cell_count(k)
     if cell.homogeneous:
         return []
     bands = find_bands(cell, window.re_max)
@@ -317,35 +320,50 @@ def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
     """Number of resonances in a rectangle by the argument principle.
 
     Accumulates the phase winding of the entire interface-chain
-    determinant along the rectangle boundary, doubling the sampling until
-    every phase increment is unambiguous (< pi/2) and the total is within
-    0.01 of an integer.  Being entire, the determinant has no poles to
-    corrupt the count, unlike the recursion quotient.
+    determinant along the rectangle boundary.  The start grid puts
+    max(256, 16 k) points on each side per band period (pi over the
+    transit time) the rectangle spans, which resolves the resonance
+    spacing.  Only the steps whose phase increment is ambiguous (at least
+    pi/2) are then bisected, and only the new midpoints are evaluated,
+    until every step is below pi/2; the total must be within 0.01 of an
+    integer.  Being entire, the determinant has no poles to corrupt the
+    count, unlike the recursion quotient.  A zero on or next to the
+    contour raises ContourThroughZeroError once a step has been halved
+    40 times or the samples exceed 4 * 2**17.
     """
     if not (re_lo < re_hi and im_lo < im_hi):
         raise InvalidRangeError("contour rectangle is ill ordered")
-    n = 256
-    while n <= 1 << 17:
-        contour = np.concatenate([
-            np.linspace(re_lo, re_hi, n, endpoint=False) + 1j * im_lo,
-            re_hi + 1j * np.linspace(im_lo, im_hi, n, endpoint=False),
-            np.linspace(re_hi, re_lo, n, endpoint=False) + 1j * im_hi,
-            re_lo + 1j * np.linspace(im_hi, im_lo, n, endpoint=False),
-        ])
-        contour = np.append(contour, contour[0])
-        vals = chain_determinants(cell, contour, k).value
+    periods = math.ceil((re_hi - re_lo) * cell.transit_time / math.pi)
+    n = min(max(256, 16 * _cell_count(k)) * periods, 1 << 17)
+    corners = np.array([re_lo + 1j * im_lo, re_hi + 1j * im_lo, re_hi + 1j * im_hi,
+                        re_lo + 1j * im_hi, re_lo + 1j * im_lo])
+    # integer positions, 2**40 to a start step: a step halved 40 times has length 1
+    unit = 1 << _CONTOUR_MAX_HALVINGS
+
+    def values(pos):
+        return chain_determinants(cell, np.interp(pos / (n * unit), np.arange(5), corners),
+                                  k).value
+
+    pos = np.arange(4 * n + 1, dtype=np.int64) * unit
+    vals = values(pos)
+    while True:
         if np.min(np.abs(vals)) == 0.0:
             raise ContourThroughZeroError("determinant vanishes on the counting contour")
         steps = np.angle(vals[1:] / vals[:-1])
-        if np.max(np.abs(steps)) < 0.5 * math.pi:
-            total = float(np.sum(steps)) / (2.0 * math.pi)
-            nearest = round(total)
-            if abs(total - nearest) < 0.01:
-                return int(nearest)
-        n *= 2
-    # refinement never stabilized: a zero sits essentially on the contour
-    raise ContourThroughZeroError(
-        "phase winding failed to stabilize; a zero lies on or next to the contour")
+        bad = np.flatnonzero(np.abs(steps) >= 0.5 * math.pi)
+        if bad.size == 0:
+            break
+        if pos.size + bad.size > _CONTOUR_MAX_SAMPLES or np.min(pos[bad + 1] - pos[bad]) < 2:
+            raise ContourThroughZeroError(
+                "phase winding failed to stabilize; a zero lies on or next to the contour")
+        mid = (pos[bad] + pos[bad + 1]) // 2
+        pos = np.insert(pos, bad + 1, mid)
+        vals = np.insert(vals, bad + 1, values(mid))
+    total = float(np.sum(steps)) / (2.0 * math.pi)
+    nearest = round(total)
+    if abs(total - nearest) >= 0.01:
+        raise ContourThroughZeroError(f"phase winding {total} is not an integer")
+    return int(nearest)
 
 
 def audit_count(cell: UnitCell, k: int, band: Band, contour_margin: float = 0.05,
@@ -387,8 +405,8 @@ def convergence_study(cell: UnitCell, band: Band, k_list: list[int],
     (k = 1 by the closed form) and the extreme imaginary parts recorded;
     max_im must climb toward zero as k increases.
     """
-    if any(k < 1 for k in k_list):
-        raise ValueError("convergence study requires k >= 1")
+    for k in k_list:
+        _cell_count(k)
     if any(nxt < prev for prev, nxt in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be non-decreasing")
     if im_floor is None:

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import (BandMismatchError, BoundaryValueWarning,
                      EdgeDegeneracyError, PoleProximityError)
 from .medium import UnitCell, transparency_frequencies
-from .monodromy import (Band, Regime, _band_offset, _bisect, bloch,
-                        chebyshev_pair, lyapunov, monodromy)
+from .monodromy import (Band, Regime, _band_offset, _bisect, _cell_count,
+                        bloch, chebyshev_pair, lyapunov, monodromy)
 
 #: Denominator-to-numerator ratio below which a quotient is treated as a
 #: pole hit (below double-precision meaningfulness).
@@ -93,7 +93,7 @@ def perfect_transmission_frequencies(cell: UnitCell, band: Band, k: int) -> list
     m = 1..k-1 on the band where F is monotone between -1 and +1; each is
     located by bisection.
     """
-    if k < 2:
+    if _cell_count(k) < 2:
         raise ValueError(f"need at least two cells, got k={k}")
     _validate_band(cell, band)
 

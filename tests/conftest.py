@@ -1,8 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
-from stepslab import UnitCell
+from stepslab import UnitCell, lyapunov
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # fixed examples and no example database, so every run tests the same cells
+    settings.register_profile("stepslab", derandomize=True, database=None, deadline=None)
+    settings.load_profile("stepslab")
 
 
 @pytest.fixture
@@ -49,3 +59,38 @@ EDGE_A3 = math.pi / 0.8
 
 #: Constant depth of the one-cell resonance line for cell_a: ln|d|/(b2 x2).
 DEPTH_A1 = math.log(0.6) / 0.8
+
+
+def den_winding(cell: UnitCell, k: int, re_lo: float, re_hi: float, im_lo: float,
+                im_hi: float, n: int = 1 << 14) -> int:
+    """Zeros of the slab denominator U_{k-1}(F) S - 2 U_{k-2}(F) inside the
+    rectangle, from its phase winding on a uniform contour of n points per side.
+
+    Independent of the package's counting and kernel code: U_j comes from
+    the plain three-term recurrence, rescaled by a positive factor per step,
+    and S from its closed form
+    S = ((b1 + b2)^2 e^{-i lam tau} - (b2 - b1)^2 e^{i lam skew}) / (2 b1 b2).
+    Both stay accurate deep in the lower half plane, where |F| is large and
+    the one-cell monodromy entries grow like e^{|Im lam| tau}.  Asserts that
+    every step is unambiguous.
+    """
+    z = np.concatenate([np.linspace(re_lo, re_hi, n, endpoint=False) + 1j * im_lo,
+                        re_hi + 1j * np.linspace(im_lo, im_hi, n, endpoint=False),
+                        np.linspace(re_hi, re_lo, n, endpoint=False) + 1j * im_hi,
+                        re_lo + 1j * np.linspace(im_hi, im_lo, n, endpoint=False),
+                        [re_lo + 1j * im_lo]])
+    b1, b2 = cell.b1, cell.b2
+    s = ((b1 + b2) ** 2 * np.exp(-1j * z * cell.transit_time)
+         - (b2 - b1) ** 2 * np.exp(1j * z * cell.transit_skew)) / (2.0 * b1 * b2)
+    two_f = 2.0 * lyapunov(cell, z)
+    v, u = np.zeros_like(z), np.ones_like(z)  # U_{-1}, U_0
+    for _ in range(k - 1):
+        v, u = u, two_f * u - v
+        scale = np.abs(u)
+        v, u = v / scale, u / scale
+    den = u * s - 2.0 * v
+    steps = np.angle(den[1:] / den[:-1])
+    assert np.max(np.abs(steps)) < 0.5 * math.pi, "reference contour too coarse"
+    total = float(np.sum(steps)) / (2.0 * math.pi)
+    assert abs(total - round(total)) < 1e-6
+    return round(total)

@@ -1,11 +1,12 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
-from stepslab import (DeterminantOverflowError, EmptyWindowWarning,
-                      InvalidRangeError, PoleProximityError,
+from stepslab import (ContourThroughZeroError, DeterminantOverflowError,
+                      EmptyWindowWarning, InvalidRangeError, PoleProximityError,
                       RecursionPoleError, UnitCell, Window, audit_count,
                       chain_determinants, convergence_study,
                       count_zeros_rectangle, default_im_floor, find_bands,
@@ -13,7 +14,7 @@ from stepslab import (DeterminantOverflowError, EmptyWindowWarning,
                       reflection_k, reflection_via_q, resonances_k1,
                       spectral_period)
 
-from conftest import DEPTH_A1, EDGE_A3
+from conftest import DEPTH_A1, EDGE_A3, den_winding
 
 
 def test_q_base_case(cell_a):
@@ -183,6 +184,56 @@ def test_audit_counts_match_newton(cell_a):
 
 def test_gap_rectangle_holds_no_resonances(cell_a):
     assert count_zeros_rectangle(cell_a, 4, 1.4, 2.5, -1.25, -1e-9) == 0
+
+
+def test_audit_matches_denominator_winding(cell_a, cell_b, cell_c):
+    # the chain-determinant count against the phase winding of the slab
+    # denominator on a dense uniform contour, for the bands and for a
+    # rectangle about eight band periods wide (a start grid that ignores the
+    # width miscounts it)
+    for cell in (cell_a, cell_b, cell_c):
+        bands = find_bands(cell, 4.0)[:2]
+        for k in (8, 16, 32):
+            for band in bands:
+                rect = (band.lo - 0.05, band.hi + 0.05, default_im_floor(cell), -1e-9)
+                assert audit_count(cell, k, band) == den_winding(cell, k, *rect)
+        wide = (0.1, 16.0, default_im_floor(cell), -1e-9)
+        assert count_zeros_rectangle(cell, 16, *wide) == den_winding(cell, 16, *wide)
+
+
+def test_audit_counts_near_edge_clusters(cell_a, cell_b, cell_c):
+    # shallow roots crowd the band edges at large k; a flat start grid of
+    # 256 points per side counts 48/46/47 at k = 48
+    expected = {48: [(49, 49), (49, 47), (49, 48)], 64: [(66, 66), (65, 63), (65, 64)]}
+    for k, counts in expected.items():
+        for cell, pair in zip((cell_a, cell_b, cell_c), counts):
+            bands = find_bands(cell, 4.0)[:2]
+            assert tuple(audit_count(cell, k, band) for band in bands) == pair
+
+
+def test_contour_through_zero_raises_quickly(cell_a):
+    # a one-cell root on a horizontal side and on a vertical side: the
+    # refinement must stop rather than bisect forever
+    root = resonances_k1(cell_a, 8.0)[1].lam
+    for rect in ((root.real - 0.5, root.real + 0.7, root.imag, -1e-9),
+                 (root.real, root.real + 1.0, -1.25, -1e-9)):
+        start = time.perf_counter()
+        with pytest.raises(ContourThroughZeroError):
+            count_zeros_rectangle(cell_a, 1, *rect)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_cell_count_validation(cell_a):
+    # every entry taking a cell count shares the kernel's check
+    band = find_bands(cell_a, 4.0)[0]
+    for k in (0, -3, 2.5, True):
+        for call in (lambda: chain_determinants(cell_a, 1.0 - 0.1j, k),
+                     lambda: count_zeros_rectangle(cell_a, k, 0.0, 1.0, -1.0, -1e-9),
+                     lambda: audit_count(cell_a, k, band),
+                     lambda: find_resonances(cell_a, k, Window(0.0, 4.0, -1.25)),
+                     lambda: convergence_study(cell_a, band, [k])):
+            with pytest.raises(ValueError, match="cell count"):
+                call()
 
 
 def test_empty_window_warns(cell_a):

@@ -89,6 +89,9 @@ def test_perfect_transmission_validates_band(cell_a):
         perfect_transmission_frequencies(cell_a, clipped, 3)
     with pytest.raises(ValueError):
         perfect_transmission_frequencies(cell_a, find_bands(cell_a, 4.0)[0], 1)
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="cell count"):
+            perfect_transmission_frequencies(cell_a, find_bands(cell_a, 4.0)[0], k)
 
 
 def test_half_infinite_gap_modulus(cell_a):
