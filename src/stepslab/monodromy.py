@@ -177,23 +177,25 @@ def chebyshev_pair(sign, g, k: int):
 
     Binary doubling of U_j = 2f U_{j-1} - U_{j-2} (U_0 = 1, U_{-1} = 0) in O(log k),
     rescaled by an exact power of two per level so that nothing overflows.  It
-    carries D = U_{n-1} - U_{n-2} and g (Reinsch's form), accurate at the band edges.
+    carries D = U_{n-1} - U_{n-2} and g (Reinsch's form), accurate at the band edges,
+    and U_{n-2} itself, accurate where |f| >> 1 and U_{n-1} - D cancels.
     """
     _cell_count(k)
     h = 2.0 * g
     u = d = 1.0 + 0.0 * h
+    v = 0.0 * h
     e = np.int64(0)
     for bit in bin(k)[3:]:
-        hu = h * u  # U_{2n-1} = 2U(gU + D), D_{2n-1} = 2gU^2 + D^2
-        u, d = u * (hu + 2.0 * d), hu * u + d * d
-        if bit == "1":  # D_n = D + 2gU, U_n = U + D_n
+        hu = h * u  # U_{2n-1} = 2U(gU + D), D_{2n-1} = 2gU^2 + D^2, U_{2n-2} = D(U + V)
+        u, d, v = u * (hu + 2.0 * d), hu * u + d * d, d * (u + v)
+        if bit == "1":  # D_n = D + 2gU, U_n = U + D_n, V_n = U
             d = d + h * u
-            u = u + d
+            u, v = u + d, u
         t = abs(u) + abs(d)
         s, ex = np.frexp(t)
         s /= t  # exactly 2**-ex
-        u, d, e = u * s, d * s, 2 * e + ex
-    v = u - d  # U_{k-2}; U_j(f) = sign**j U_j(sign f)
+        u, d, v, e = u * s, d * s, v * s, 2 * e + ex
+    # U_j(f) = sign**j U_j(sign f)
     return (u, v * sign, e) if k % 2 else (u * sign, v, e)
 
 
@@ -287,23 +289,26 @@ def bloch(cell: UnitCell, lam) -> BlochData:
     return BlochData(fc, mu_plus, mu_minus, m_plus, m_minus, regime)
 
 
-def _bisect(fn, a: float, b: float, tol: float) -> float:
+def _bisect(fn, a, b, tol: float):
+    """Roots of fn in the brackets [a, b] (arrays; fn maps an array of points,
+    one per bracket, to values), each halved until narrower than tol.
+
+    An exact zero at an end or a midpoint is returned as is; a bracket whose
+    ends have the same sign raises ValueError.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
+    if np.any(fa * fb > 0.0):
         raise ValueError("bisection bracket does not change sign")
-    while b - a > tol:
+    b[fa == 0.0] = a[fa == 0.0]  # a zero end closes its bracket onto itself
+    a[fb == 0.0] = b[fb == 0.0]
+    while np.any(wide := b - a > tol):
         mid = 0.5 * (a + b)
         fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
+        left = fa * fm < 0.0
+        b = np.where(wide & (left | (fm == 0.0)), mid, b)
+        right = wide & ~left
+        a, fa = np.where(right, mid, a), np.where(right, fm, fa)
     return 0.5 * (a + b)
 
 
@@ -333,48 +338,43 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     fs = lyapunov(cell, xs)
     dfs = lyapunov_derivative(cell, xs)
 
-    f_of = lambda x: float(lyapunov(cell, x))
-    df_of = lambda x: float(lyapunov_derivative(cell, x))
-
-    edges: list[float] = []
-
+    tol = _EDGE_LOCATION_TOL
     # crossings of F = +1 and F = -1
-    for target in (1.0, -1.0):
-        g = fs - target
-        hits = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
-        for i in hits:
-            edges.append(_bisect(lambda x: f_of(x) - target, xs[i], xs[i + 1], _EDGE_LOCATION_TOL))
+    g = fs - np.array([[1.0], [-1.0]])
+    row, i = np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)
+    target = 1.0 - 2.0 * row
+    edges = [_bisect(lambda x: lyapunov(cell, x) - target, xs[i], xs[i + 1], tol)]
 
     # critical points of F: tangency edges, plus narrow features the grid
     # sign test may have stepped over
-    crit_hits = np.nonzero(dfs[:-1] * dfs[1:] < 0.0)[0]
-    for i in crit_hits:
-        lam_c = _bisect(df_of, xs[i], xs[i + 1], _EDGE_LOCATION_TOL)
-        f_c = f_of(lam_c)
-        if abs(abs(f_c) - 1.0) <= 1e-9:
-            edges.append(lam_c)
-        elif abs(f_c) > 1.0:
-            # extremum pokes past +-1 between grid points: two crossings
-            target = 1.0 if f_c > 1.0 else -1.0
-            for a, b in ((xs[i], lam_c), (lam_c, xs[i + 1])):
-                if (f_of(a) - target) * (f_of(b) - target) < 0.0:
-                    edges.append(_bisect(lambda x: f_of(x) - target, a, b, _EDGE_LOCATION_TOL))
+    i = np.flatnonzero(dfs[:-1] * dfs[1:] < 0.0)
+    lam_c = _bisect(lambda x: lyapunov_derivative(cell, x), xs[i], xs[i + 1], tol)
+    f_c = lyapunov(cell, lam_c)
+    touch = abs(abs(f_c) - 1.0) <= 1e-9
+    edges.append(lam_c[touch])
+    # an extremum that pokes past +-1 between grid points: two crossings
+    poke = ~touch & (abs(f_c) > 1.0)
+    lo = np.concatenate([xs[i[poke]], lam_c[poke]])
+    hi = np.concatenate([lam_c[poke], xs[i[poke] + 1]])
+    target = np.tile(np.sign(f_c[poke]), 2)
+    keep = (lyapunov(cell, lo) - target) * (lyapunov(cell, hi) - target) < 0.0
+    target = target[keep]
+    edges.append(_bisect(lambda x: lyapunov(cell, x) - target, lo[keep], hi[keep], tol))
 
-    edges = sorted(e for e in edges if 0.0 < e < lambda_max)
+    edges = sorted(e for e in np.concatenate(edges).tolist() if 0.0 < e < lambda_max)
     deduped: list[float] = []
     for e in edges:
         if not deduped or e - deduped[-1] > 1e-9:
             deduped.append(e)
 
     boundaries = [0.0] + deduped + [lambda_max]
+    f_mid = lyapunov(cell, 0.5 * (np.array(boundaries[:-1]) + boundaries[1:]))
     bands: list[Band] = []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        if b - a <= 1e-9:
-            continue
-        if abs(f_of(0.5 * (a + b))) >= 1.0:
+    for a, b, f in zip(boundaries[:-1], boundaries[1:], f_mid):
+        if b - a <= 1e-9 or abs(f) >= 1.0:
             continue
         lo_type = _classify_edge(cell, a)
-        if b == lambda_max and abs(abs(f_of(b)) - 1.0) > 1e-9:
+        if b == lambda_max and abs(abs(lyapunov(cell, b)) - 1.0) > 1e-9:
             hi_type = None  # clipped by the scan limit, not a real edge
         else:
             hi_type = _classify_edge(cell, b)

@@ -20,11 +20,11 @@ import numpy as np
 
 from .errors import (BandMismatchError, ContourThroughZeroError,
                      DeterminantOverflowError, EmptyWindowWarning,
-                     InvalidRangeError, PoleProximityError, RecursionPoleError)
+                     InvalidRangeError, RecursionPoleError)
 from .medium import UnitCell
 from .monodromy import Band, _cell_count, find_bands
 from .scattering import (_blockwise, _quotient, _slab_terms,
-                         perfect_transmission_frequencies)
+                         perfect_transmission_frequencies, reflection_k)
 
 #: A converged root must satisfy |d*Q - 1| below this.
 RESIDUAL_TOL = 1e-10
@@ -304,15 +304,10 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
             for lam, r, it, seed in kept]
 
 
-def reflection_via_q(cell: UnitCell, lam, k: int):
-    """Slab reflection through the interface recursion: r = (d - Q)/(1 - d Q).
-
-    Its poles in the lower half plane are exactly the resonances.  Scalar
-    lam raises PoleProximityError at a pole; arrays let inf propagate.
-    """
-    d = cell.contrast
-    q = q_recursion(cell, lam, k)
-    return _quotient(d - q, 1.0 - d * q, lam, lambda: PoleProximityError(lam))
+#: Slab reflection through the interface recursion, r = (d - Q)/(1 - d Q).
+#: That quotient reduces to ``reflection_k``'s num/den, so it is divided once:
+#: its poles are exactly the resonances, and it stays regular at Q's own poles.
+reflection_via_q = reflection_k
 
 
 def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,

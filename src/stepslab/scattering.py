@@ -16,7 +16,7 @@ from .errors import (BandMismatchError, BoundaryValueWarning,
                      EdgeDegeneracyError, PoleProximityError)
 from .medium import UnitCell, transparency_frequencies
 from .monodromy import (Band, Regime, _band_offset, _bisect, _cell_count,
-                        bloch, chebyshev_pair, lyapunov, monodromy)
+                        bloch, chebyshev_pair, lyapunov)
 
 #: Denominator-to-numerator ratio below which a quotient is treated as a
 #: pole hit (below double-precision meaningfulness).
@@ -38,7 +38,7 @@ def _blockwise(fn, size=1 << 12):
 def _quotient(num, den, lam, pole_error):
     """num/den; for scalar lam, raise pole_error() when den is negligible."""
     if np.ndim(lam) == 0:
-        if abs(den) < _POLE_RTOL * max(1.0, abs(num)):
+        if abs(den) <= _POLE_RTOL * abs(num):
             raise pole_error()
         return complex(num) / complex(den)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -46,13 +46,19 @@ def _quotient(num, den, lam, pole_error):
 
 
 def _slab_terms(cell: UnitCell, lam, k: int):
-    """(u N, u S - 2v, e): r_k = u N / (u S - 2v) from the k-cell entries 2**e (u M - v I)
-    and the one-cell N = d - a - i(b1 g + b/b1) and S = a + d + i(b1 g - b/b1)."""
-    m = monodromy(cell, lam)
-    b1g, bb1 = cell.b1 * m.gamma, m.beta / cell.b1
+    """(u N, u S - 2v, e): r_k = u N / (u S - 2v) from the k-cell entries 2**e (u M - v I).
+
+    S = a + d + i(b1 g - b/b1) and N = d - a - i(b1 g + b/b1) of the one-cell
+    entries are taken in closed form, 2 b1 b2 S = (b1+b2)^2 E - (b2-b1)^2 E' and
+    2 b1 b2 N = (b2^2-b1^2)(E - E') with E = e^{-i lam tau}, E' = e^{i lam skew},
+    which do not cancel deep in the lower half plane as the entries do.
+    """
+    b1, b2 = cell.b1, cell.b2
+    fwd, back = np.exp(-1j * lam * cell.transit_time), np.exp(1j * lam * cell.transit_skew)
+    s = ((b1 + b2) ** 2 * fwd - (b2 - b1) ** 2 * back) / (2.0 * b1 * b2)
+    n = (b2 * b2 - b1 * b1) * (fwd - back) / (2.0 * b1 * b2)
     u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
-    return (u * (m.delta - m.alpha - 1j * (b1g + bb1)),
-            u * (m.alpha + m.delta + 1j * (b1g - bb1)) - 2.0 * v, e)
+    return u * n, u * s - 2.0 * v, e
 
 
 @_blockwise
@@ -90,27 +96,22 @@ def perfect_transmission_frequencies(cell: UnitCell, band: Band, k: int) -> list
     transparency frequency that falls inside the band.
 
     The k-1 roots solve U_{k-1}(F(lam)) = 0, i.e. F(lam) = cos(m*pi/k) for
-    m = 1..k-1 on the band where F is monotone between -1 and +1; each is
-    located by bisection.
+    m = 1..k-1 on the band where F is monotone between -1 and +1; all are
+    located by one bisection over the array of targets.
     """
     if _cell_count(k) < 2:
         raise ValueError(f"need at least two cells, got k={k}")
     _validate_band(cell, band)
 
-    f_of = lambda x: float(lyapunov(cell, x))
-    f_lo, f_hi = f_of(band.lo), f_of(band.hi)
-    roots: list[float] = []
-    for m in range(1, k):
-        target = math.cos(m * math.pi / k)
-        if (f_lo - target) * (f_hi - target) > 0.0:
-            continue
-        roots.append(_bisect(lambda x: f_of(x) - target, band.lo, band.hi, 1e-12))
+    target = np.cos(np.arange(1, k) * math.pi / k)
+    f_lo, f_hi = lyapunov(cell, band.lo), lyapunov(cell, band.hi)
+    target = target[(f_lo - target) * (f_hi - target) <= 0.0]
+    roots = _bisect(lambda x: lyapunov(cell, x) - target, np.full(target.size, band.lo),
+                    np.full(target.size, band.hi), 1e-12)
 
-    for lam0 in transparency_frequencies(cell, band.hi):
-        if band.lo + 1e-9 < lam0 < band.hi - 1e-9:
-            if all(abs(lam0 - r) > 1e-9 for r in roots):
-                roots.append(lam0)
-    return sorted(roots)
+    extra = [lam0 for lam0 in transparency_frequencies(cell, band.hi)
+             if band.lo + 1e-9 < lam0 < band.hi - 1e-9 and np.all(abs(roots - lam0) > 1e-9)]
+    return sorted(roots.tolist() + extra)
 
 
 def reflection_half_infinite(cell: UnitCell, lam):
@@ -136,10 +137,10 @@ def reflection_half_infinite(cell: UnitCell, lam):
 
 
 def _validate_band(cell: UnitCell, band: Band) -> None:
-    f_of = lambda x: float(lyapunov(cell, x))
     if band.lo >= band.hi:
         raise BandMismatchError(f"band interval ill ordered: {band}")
-    if abs(abs(f_of(band.lo)) - 1.0) > 1e-6 or abs(abs(f_of(band.hi)) - 1.0) > 1e-6:
+    f_lo, f_hi, f_mid = lyapunov(cell, np.array([band.lo, band.hi, 0.5 * (band.lo + band.hi)]))
+    if abs(abs(f_lo) - 1.0) > 1e-6 or abs(abs(f_hi) - 1.0) > 1e-6:
         raise BandMismatchError(f"band edges do not satisfy |F| = 1 for this cell: {band}")
-    if abs(f_of(0.5 * (band.lo + band.hi))) >= 1.0:
+    if abs(f_mid) >= 1.0:
         raise BandMismatchError(f"band midpoint is not inside a band for this cell: {band}")

@@ -60,6 +60,10 @@ EDGE_A3 = math.pi / 0.8
 #: Constant depth of the one-cell resonance line for cell_a: ln|d|/(b2 x2).
 DEPTH_A1 = math.log(0.6) / 0.8
 
+#: A cell whose default search floor -1/(b2 x2) is Im = -20: deep in the lower
+#: half plane, where the one-cell monodromy entries cancel.
+DEEP = UnitCell(4.557477135240766, 0.5, 0.1)
+
 
 def den_winding(cell: UnitCell, k: int, re_lo: float, re_hi: float, im_lo: float,
                 im_hi: float, n: int = 1 << 14) -> int:

@@ -7,6 +7,7 @@ from stepslab import (EdgeType, InvalidRangeError, Regime, UnitCell, bloch,
                       find_bands, lyapunov, lyapunov_curvature,
                       lyapunov_derivative, monodromy, spectral_period,
                       transfer_power)
+from stepslab.monodromy import _bisect
 
 from conftest import EDGE_A1, EDGE_A2, EDGE_A3
 
@@ -263,3 +264,65 @@ def test_narrow_feature_cell_bands_consistent():
     for b in bands:
         outside &= ~((xs >= b.lo - 1e-6) & (xs <= b.hi + 1e-6))
     assert np.all(fvals[outside] >= 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("params, lambda_max, index, edges", [
+    # no grid point falls in this 0.0011 gap: only the bisected extremum of
+    # F (1.0000019) brackets its two edges
+    ((2.69, 4.4, 0.38), 4.0, 2, (1.88073542486205888, 1.88187663884627041)),
+    # this 0.008 gap holds the grid point 126.60, where F = 1.000016
+    ((0.7, 2.4, 0.61), 400.0, 70, (126.598704034697447, 126.606684257513012)),
+], ids=["empty_gap", "gap_with_grid_point"])
+def test_find_bands_gap_narrower_than_grid_step(params, lambda_max, index, edges):
+    # F pokes just past +1 inside a gap narrower than the 0.01 scan step; the
+    # references are 40-digit mpmath roots of F - 1 for the same double parameters
+    cell = UnitCell(*params)
+    left, right = find_bands(cell, lambda_max)[index - 1:index + 1]
+    assert (left.index, right.index) == (index, index + 1)
+    assert right.lo - left.hi < 0.01
+    for edge, ref in zip((left.hi, right.lo), edges):
+        assert abs(abs(lyapunov(cell, edge)) - 1.0) <= 1e-9
+        assert edge == pytest.approx(ref, abs=1e-10)
+
+
+def _bisect_one(fn, a, b, tol):
+    """The one-bracket loop that the array bisection replaced (reference)."""
+    fa, fb = fn(a), fn(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def test_bisect_matches_one_bracket_loop(cell_b):
+    # brackets of different widths finish after different numbers of halvings
+    bands = [b for b in find_bands(cell_b, 12.0) if b.hi_type is not None]
+    targets = np.random.default_rng(41).uniform(-0.99, 0.99, len(bands))
+    lo, hi = np.array([b.lo for b in bands]), np.array([b.hi for b in bands])
+    got = _bisect(lambda x: lyapunov(cell_b, x) - targets, lo, hi, 1e-12)
+    want = [_bisect_one(lambda x: float(lyapunov(cell_b, x)) - t, a, b, 1e-12)
+            for t, a, b in zip(targets, lo, hi)]
+    assert got.tolist() == want
+
+
+def test_bisect_exact_zeros_and_bad_brackets():
+    # zeros at a lower end, an upper end, the first midpoint and the third
+    # midpoint come back exactly; the last bracket converges to sqrt(2)
+    c = np.array([1.0, 4.0, 0.25, 0.140625, 2.0])
+    a, b = np.array([1.0, 0.0, 0.0, 0.0, 1.0]), np.array([3.0, 2.0, 1.0, 1.0, 2.0])
+    got = _bisect(lambda x: x * x - c, a, b, 1e-12)
+    assert got[:4].tolist() == [1.0, 2.0, 0.5, 0.375]
+    assert got[4] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert _bisect(lambda x: x, [], [], 1e-12).size == 0
+    with pytest.raises(ValueError, match="sign"):
+        _bisect(lambda x: x * x - c[:2], [1.5, 0.0], [3.0, 3.0], 1e-12)

@@ -14,7 +14,7 @@ from stepslab import (ContourThroughZeroError, DeterminantOverflowError,
                       reflection_k, reflection_via_q, resonances_k1,
                       spectral_period)
 
-from conftest import DEPTH_A1, EDGE_A3, den_winding
+from conftest import DEEP, DEPTH_A1, EDGE_A3, den_winding
 
 
 def test_q_base_case(cell_a):
@@ -85,6 +85,8 @@ def test_recursion_pole_reports_index(cell_a):
     with pytest.raises(RecursionPoleError) as err:
         q_recursion(cell_a, lam_pole, 2)
     assert err.value.index == 4
+    # r = (d - Q)/(1 - d Q) is regular there: it tends to 1/d
+    assert reflection_via_q(cell_a, lam_pole, 2) == pytest.approx(1.0 / 0.6, rel=1e-12)
     # the old intermediate pole (a zero of the three-step determinant) is
     # a regular point of Q, where Q_4 = eta / d
     lam_mid = 1j * math.log(0.36) / 1.6
@@ -108,6 +110,15 @@ def test_one_cell_closed_form(cell_a, cell_b, cell_c, uniform):
         assert all(r.lam.imag == pytest.approx(depth, abs=1e-12) for r in rs)
 
     assert resonances_k1(uniform, 10.0) == []
+
+
+def test_deep_floor_one_cell_root_list():
+    # DEEP's default floor is Im = -20, where the slab denominator used to
+    # cancel to noise and Newton returned roots at -20i, -5.058i and
+    # 0.517 - 7i with residual 0: only the closed-form root is a resonance
+    found = find_resonances(DEEP, 1, Window(0.0, 0.74, default_im_floor(DEEP)))
+    assert [r.lam for r in found] == pytest.approx(
+        [r.lam for r in resonances_k1(DEEP, 0.74)], abs=1e-12)
 
 
 def test_one_cell_roots_kill_determinant(cell_a):

@@ -10,7 +10,7 @@ from stepslab import (Band, BandMismatchError, BoundaryValueWarning, EdgeType,
                       reflection_half_infinite, reflection_k, resonances_k1,
                       transmission_sq, transparency_frequencies)
 
-from conftest import EDGE_A3
+from conftest import DEEP, EDGE_A3
 
 
 def test_unitarity(cell_family):
@@ -66,6 +66,20 @@ def test_perfect_transmission_counts(cell_a):
             for lam in freqs:
                 assert band.lo < lam < band.hi
                 assert transmission_sq(cell_a, lam, k) > 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("k", [7, 64])
+def test_perfect_transmission_closed_form_reference_cell(cell_a, k):
+    # equal transit times: F = (rho + 1) cos^2(0.8 lam) - rho, so F = cos(m pi/k)
+    # where cos(1.6 lam) = (2 cos(m pi/k) + rho - 1)/(rho + 1)
+    rho = cell_a.mismatch
+    c = np.sort(np.arccos((2.0 * np.cos(np.arange(1, k) * math.pi / k) + rho - 1.0)
+                          / (rho + 1.0)))
+    band1, band2 = find_bands(cell_a, 4.0)[:2]
+    assert perfect_transmission_frequencies(cell_a, band1, k) == pytest.approx(
+        c / 1.6, abs=1e-11)
+    assert perfect_transmission_frequencies(cell_a, band2, k) == pytest.approx(
+        np.sort(2.0 * math.pi - c) / 1.6, abs=1e-11)
 
 
 def test_perfect_transmission_includes_interior_transparency(cell_b):
@@ -170,15 +184,19 @@ def test_large_k_real_axis_is_finite_and_unitary(cell_a, cell_b, cell_c, k):
         assert np.max(np.abs(np.abs(r[live]) ** 2 + t[live] - 1.0)) <= 1e-10
 
 
-@pytest.mark.parametrize("k", [64, 256])
+@pytest.mark.parametrize("k", [1, 16, 64, 256])
 def test_reflection_matches_extended_precision_off_axis(cell_a, cell_b, k):
-    # 50-digit reference: the one-cell entries and the O(k) Chebyshev
-    # recurrence U_j = 2F U_{j-1} - U_{j-2} evaluated in mpmath
+    # reference: the one-cell entries and the O(k) Chebyshev recurrence
+    # U_j = 2F U_{j-1} - U_{j-2} evaluated in mpmath.  DEEP's default search
+    # floor is Im = -20, where the entries grow like e^{|Im lam| tau} and r
+    # comes from their cancellation, so the reference needs 120 digits there
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    for cell in (cell_a, cell_b):
-        b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
-        for lam in (0.37 + 0.21j, 1.9 - 0.12j, 3.3 + 0.05j):
+    cases = [(cell, lam, 50) for cell in (cell_a, cell_b)
+             for lam in (0.37 + 0.21j, 1.9 - 0.12j, 3.3 + 0.05j)]
+    cases += [(DEEP, lam, 120) for lam in (0.61 - 2j, 0.3 - 5j, 0.2 - 12j, 0.3 - 20j)]
+    for cell, lam, dps in cases:
+        with mp.workdps(dps):
+            b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
             z = mp.mpc(lam)
             arg_sum = z * (x2 * b2 + (1 - x2) * b1)
             arg_diff = z * (b1 * (1 - x2) - b2 * x2)
@@ -192,6 +210,7 @@ def test_reflection_matches_extended_precision_off_axis(cell_a, cell_b, k):
             for _ in range(k - 1):
                 u, v = 2 * f * u - v, u
             ak, bk, gk, dk = u * a - v, u * b, u * g, u * d - v
-            ref = (dk - ak - 1j * (b1 * gk + bk / b1)) / (dk + ak + 1j * (b1 * gk - bk / b1))
-            got = reflection_k(cell, lam, k)
-            assert abs(got - complex(ref)) <= 1e-12 * abs(complex(ref))
+            ref = complex((dk - ak - 1j * (b1 * gk + bk / b1))
+                          / (dk + ak + 1j * (b1 * gk - bk / b1)))
+        got = reflection_k(cell, lam, k)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
