@@ -34,10 +34,6 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
-_CONFIG_KEYS = ("b1", "b2", "x2", "k", "lambda_max", "re_min", "re_max",
-                "im_min", "grid_re", "format", "output", "k_list", "band_index")
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -64,65 +60,51 @@ def _emit(header: list[str], rows: list[dict], meta: dict, fmt: str, output: str
             fh.write(text)
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--b1", type=float)
-    parser.add_argument("--b2", type=float)
-    parser.add_argument("--x2", type=float)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--lambda-max", type=float, dest="lambda_max")
-    parser.add_argument("--re-min", type=float, dest="re_min")
-    parser.add_argument("--re-max", type=float, dest="re_max")
-    parser.add_argument("--im-min", type=float, dest="im_min")
-    parser.add_argument("--grid-re", type=int, dest="grid_re")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--output")
-    parser.add_argument("--config")
+_DEFAULTS = {"k": 1, "lambda_max": 4.0, "re_min": 0.0, "grid_re": 200, "format": "csv",
+             "output": "-", "band_index": 1}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, an optional JSON config file, and explicit flags.
 
-    Flags win over file values; file values win over defaults.
+    Flags win over file values; file values win over defaults.  The file
+    may set exactly the flags of the subcommand, and only the settings
+    the subcommand reads are validated.
     """
-    cfg = {
-        "k": 1, "lambda_max": 4.0, "re_min": 0.0, "re_max": None,
-        "im_min": None, "grid_re": 200, "format": "csv", "output": "-",
-        "k_list": None, "band_index": 1,
-    }
-    if getattr(args, "config", None):
+    keys = set(vars(args)) - {"command", "config"}
+    cfg = {key: _DEFAULTS.get(key) for key in keys}
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        unread = set(loaded) - keys
+        if unread:
+            raise ValueError(f"config keys that {args.command} does not read: {sorted(unread)}")
         cfg.update(loaded)
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg.update((key, val) for key, val in vars(args).items() if key in keys and val is not None)
     for name in ("b1", "b2", "x2"):
-        if cfg.get(name) is None:
+        if cfg[name] is None:
             raise ValueError(f"missing cell parameter --{name}")
     cfg["cell"] = UnitCell(float(cfg["b1"]), float(cfg["b2"]), float(cfg["x2"]))
     if cfg["lambda_max"] is None or cfg["lambda_max"] <= 0.0:
         raise ValueError(f"lambda-max must be positive, got {cfg['lambda_max']}")
-    if cfg["grid_re"] < 2:
+    if "grid_re" in keys and cfg["grid_re"] < 2:
         raise ValueError(f"grid-re must be at least 2, got {cfg['grid_re']}")
-    if cfg["k"] < 1:
+    if "k" in keys and cfg["k"] < 1:
         raise ValueError(f"k must be a positive integer, got {cfg['k']}")
-    if cfg["re_max"] is None:
-        cfg["re_max"] = cfg["lambda_max"]
-    if cfg["im_min"] is None:
+    if "im_min" in keys and cfg["im_min"] is None:
         cfg["im_min"] = default_im_floor(cfg["cell"])
-    if not cfg["re_min"] <= cfg["re_max"]:
-        raise ValueError("window ill ordered: re-min exceeds re-max")
+    if "re_max" in keys:
+        if cfg["re_max"] is None:
+            cfg["re_max"] = cfg["lambda_max"]
+        if not cfg["re_min"] <= cfg["re_max"]:
+            raise ValueError("window ill ordered: re-min exceeds re-max")
     return cfg
 
 
 def _meta(cfg: dict, command: str) -> dict:
     return {
         "cell": {"b1": cfg["cell"].b1, "b2": cfg["cell"].b2, "x2": cfg["cell"].x2},
-        "k": cfg["k"],
+        "k": cfg.get("k", 1),
         "command": command,
         "version": __version__,
     }
@@ -221,50 +203,59 @@ def _parse_k_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad k-list {text!r}") from err
 
 
+#: argparse settings of every flag; ``--lambda-max`` sets ``lambda_max``.
+_FLAGS = {
+    "b1": {"type": float}, "b2": {"type": float}, "x2": {"type": float},
+    "k": {"type": int}, "lambda_max": {"type": float}, "re_min": {"type": float},
+    "re_max": {"type": float}, "im_min": {"type": float}, "grid_re": {"type": int},
+    "k_list": {"type": _parse_k_list}, "band_index": {"type": int},
+    "format": {"choices": ("csv", "json")}, "output": {}, "config": {},
+}
+
+#: name -> (handler, help, the flags its handler reads besides the cell, format and output)
+_SUBCOMMANDS = {
+    "bands": (cmd_bands, "band intervals and edge types", ("lambda_max",)),
+    "resonances": (cmd_resonances, "complex resonances plus band and transparency markers",
+                   ("k", "lambda_max", "re_min", "re_max", "im_min")),
+    "transmission": (cmd_transmission, "transmission and reflection over a frequency grid",
+                     ("k", "lambda_max", "grid_re")),
+    "fixed-points": (cmd_fixed_points, "disk-map fixed points, kinds and iteration limits",
+                     ("lambda_max", "grid_re")),
+    "converge": (cmd_converge, "resonance depth versus cell count",
+                 ("lambda_max", "im_min", "k_list", "band_index")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stepslab",
         description="Band spectra, transmission and scattering resonances "
                     "of finite periodic two-step media.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("bands", "band intervals and edge types"),
-        ("resonances", "complex resonances plus band and transparency markers"),
-        ("transmission", "transmission and reflection over a frequency grid"),
-        ("fixed-points", "disk-map fixed points, kinds and iteration limits"),
-        ("converge", "resonance depth versus cell count"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_shared(p)
-        if name == "converge":
-            p.add_argument("--k-list", type=_parse_k_list, dest="k_list")
-            p.add_argument("--band-index", type=int, dest="band_index")
+    for name, (_, help_text, own) in _SUBCOMMANDS.items():
+        # no abbreviations, or converge would read --k as --k-list
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for key in ("b1", "b2", "x2", *own, "format", "output", "config"):
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
-_HANDLERS = {
-    "bands": cmd_bands,
-    "resonances": cmd_resonances,
-    "transmission": cmd_transmission,
-    "fixed-points": cmd_fixed_points,
-    "converge": cmd_converge,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse printed a usage error (2) or the help (0)
+        return stop.code
     try:
         cfg = _resolve(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, TypeError, OSError) as err:
         print(f"stepslab: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](cfg)
+        return _SUBCOMMANDS[args.command][0](cfg)
     except (NotCommensurateError, HomogeneousCellError) as err:
         print(f"stepslab: precondition violated: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (InvalidRangeError, ValueError) as err:
+    except (InvalidRangeError, ValueError, OSError) as err:
         print(f"stepslab: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (DeterminantOverflowError, ContourError, ArithmeticError) as err:

@@ -42,6 +42,9 @@ _NEWTON_MAX_ITER = 50
 _CONTOUR_MAX_SAMPLES = 4 << 17
 _CONTOUR_MAX_HALVINGS = 40
 
+#: Distance of an audit contour's vertical sides from the band edges.
+_AUDIT_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class Window:
@@ -101,9 +104,7 @@ class ChainDeterminants(NamedTuple):
 
 
 def _chain_position(m: int, x2: float) -> float:
-    """Interface position of index m in the alternating chain, m >= 1."""
-    if m == 1:
-        return 0.0
+    """Interface position of index m >= 2 in the alternating chain."""
     if m % 2 == 0:
         return m // 2 - 1 + x2
     return (m - 1) // 2
@@ -361,22 +362,19 @@ def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
     return int(nearest)
 
 
-def audit_count(cell: UnitCell, k: int, band: Band, contour_margin: float = 0.05,
-                im_floor: float | None = None) -> int:
+def audit_count(cell: UnitCell, k: int, band: Band, im_floor: float | None = None) -> int:
     """Newton-independent resonance count for one band.
 
     Counts zeros inside [band.lo - margin, band.hi + margin] x
-    [im_floor, -1e-9] by the argument principle.  If the contour passes
-    too close to a zero the margin is perturbed and the count retried, at
-    most five times.
+    [im_floor, -1e-9] by the argument principle, with margin
+    _AUDIT_MARGIN.  If the contour passes too close to a zero the margin
+    is widened and the count retried, at most five times.
     """
-    if contour_margin <= 0.0:
-        raise InvalidRangeError(f"margin must be positive, got {contour_margin}")
     if im_floor is None:
         im_floor = default_im_floor(cell)
     last: ContourThroughZeroError | None = None
     for attempt in range(5):
-        margin = contour_margin * (1.0 + 0.17 * attempt)
+        margin = _AUDIT_MARGIN * (1.0 + 0.17 * attempt)
         try:
             return count_zeros_rectangle(cell, k, band.lo - margin, band.hi + margin,
                                          im_floor, -1e-9)

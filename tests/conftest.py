@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stepslab import UnitCell, lyapunov
+from stepslab import UnitCell, chain_determinants, lyapunov
 
 try:
     from hypothesis import settings
@@ -63,6 +63,17 @@ DEPTH_A1 = math.log(0.6) / 0.8
 #: A cell whose default search floor -1/(b2 x2) is Im = -20: deep in the lower
 #: half plane, where the one-cell monodromy entries cancel.
 DEEP = UnitCell(4.557477135240766, 0.5, 0.1)
+
+
+def chain_reflection(cell: UnitCell, lam, k: int):
+    """Slab reflection from the interface-chain determinants, a route that
+    shares no code with ``reflection_k``'s kernel:
+    r = -exp(2i lam b1 (k - (1 - x2))) * companion / value.  Overflows from
+    k of about 68, like the chain itself.
+    """
+    dets = chain_determinants(cell, lam, k)
+    phase = np.exp(2j * np.asarray(lam) * cell.b1 * (k - (1.0 - cell.x2)))
+    return -phase * dets.companion / dets.value
 
 
 def den_winding(cell: UnitCell, k: int, re_lo: float, re_hi: float, im_lo: float,

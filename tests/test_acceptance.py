@@ -17,8 +17,10 @@ from stepslab import (UnitCell, Window, audit_count, default_im_floor,
                       iterate_limit, lyapunov, mobius_map, monodromy,
                       perfect_transmission_frequencies, r1,
                       reflection_half_infinite, reflection_k,
-                      reflection_via_q, resonances_k1, spectral_period,
-                      transfer_power, transmission_sq)
+                      resonances_k1, spectral_period, transfer_power,
+                      transmission_sq)
+
+from conftest import chain_reflection
 
 CELL_A = UnitCell(1.0, 4.0, 0.2)   # equal transit times
 CELL_B = UnitCell(1.0, 3.8, 0.2)   # skewed
@@ -50,7 +52,7 @@ def test_criterion_01_one_cell_closed_form():
 
 
 def test_criterion_02_dual_route_reflection():
-    """Propagator route and recursion route agree to 1e-9 relative, < 5 s."""
+    """Propagator route and interface-chain route agree to 1e-9 relative, < 5 s."""
     t0 = time.time()
     rng = np.random.default_rng(101)
     lams = rng.uniform(0.05, 4.0, 1000) + 1j * rng.uniform(-0.4, 0.4, 1000)
@@ -60,7 +62,7 @@ def test_criterion_02_dual_route_reflection():
         keep = np.array([all(abs(lam - p) > 1e-3 for p in poles) for lam in lams])
         pts = lams[keep]
         ra = np.asarray(reflection_k(CELL_A, pts, k))
-        rb = np.asarray(reflection_via_q(CELL_A, pts, k))
+        rb = np.asarray(chain_reflection(CELL_A, pts, k))
         err = np.abs(ra - rb) / np.maximum(1.0, np.maximum(np.abs(ra), np.abs(rb)))
         assert np.max(err) <= 1e-9
     elapsed = time.time() - t0

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from stepslab.cli import main
+from stepslab.cli import build_parser, main
 
 from conftest import DEPTH_A1, EDGE_A3
 
@@ -216,6 +216,14 @@ def test_json_round_trip(capsys):
     assert doc["meta"]["cell"] == {"b1": 1.0, "b2": 4.0, "x2": 0.2}
     assert len(doc["rows"]) == 3
     assert json.loads(json.dumps(doc)) == doc
+    # meta keeps its keys, and k reads 1, where the subcommand has no --k
+    for argv in (["fixed-points", *CELL_A, "--grid-re", "2"],
+                 ["converge", *CELL_A, "--k-list", "2"]):
+        code, out, _ = _run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert set(meta) == {"cell", "command", "k", "version"}
+        assert meta["k"] == 1
 
 
 def test_output_file(tmp_path, capsys):
@@ -227,6 +235,9 @@ def test_output_file(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert text.startswith("index,lo,hi")
     assert text.endswith("\n")
+    code, _, err = _run(capsys, ["bands", *CELL_A, "--output", str(tmp_path / "no" / "x.csv")])
+    assert code == 2
+    assert "x.csv" in err
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -248,3 +259,67 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = _run(capsys, ["bands", "--config", str(cfg)])
     assert code == 2
     assert "bogus" in err
+
+
+# each subcommand's own flags; all five also take --b1 --b2 --x2 --format
+# --output --config
+OWN_FLAGS = {
+    "bands": ("--lambda-max",),
+    "resonances": ("--k", "--lambda-max", "--re-min", "--re-max", "--im-min"),
+    "transmission": ("--k", "--lambda-max", "--grid-re"),
+    "fixed-points": ("--lambda-max", "--grid-re"),
+    "converge": ("--lambda-max", "--im-min", "--k-list", "--band-index"),
+}
+VALUES = {"--k": "5", "--lambda-max": "3", "--re-min": "0.5", "--re-max": "1",
+          "--im-min": "-1", "--grid-re": "9", "--k-list": "4", "--band-index": "1"}
+
+
+def test_each_subcommand_takes_exactly_its_own_flags(capsys):
+    parser = build_parser()
+    dropped = 0
+    for command, own in OWN_FLAGS.items():
+        for flag, value in VALUES.items():
+            if flag in own:
+                args = parser.parse_args([command, *CELL_A, flag, value])
+                assert getattr(args, flag[2:].replace("-", "_")) is not None
+                continue
+            dropped += flag not in ("--k-list", "--band-index")
+            code, out, err = _run(capsys, [command, *CELL_A, flag, value])
+            assert (code, out) == (2, "")
+            assert flag in err
+    assert dropped == 17  # of the flags every subcommand used to accept
+
+
+def test_config_key_not_read_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    for command, key in (("bands", "k"), ("transmission", "re_max"),
+                         ("fixed-points", "im_min"), ("converge", "grid_re"),
+                         ("resonances", "grid_re")):
+        cfg.write_text(json.dumps({"b1": 1.0, "b2": 4.0, "x2": 0.2, key: 1}))
+        code, out, err = _run(capsys, [command, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert repr(key) in err
+
+
+def test_usage_errors_return_2_without_raising(capsys):
+    for argv in (["bands", *CELL_A, "--bogus", "1"], [], ["nope"],
+                 ["bands", *CELL_A, "--lambda-max", "x"], ["bands", *CELL_A, "--lambda"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "usage" in err
+    code, out, _ = _run(capsys, ["bands", "--help"])
+    assert code == 0 and "--lambda-max" in out
+
+
+def test_invalid_settings_exit_2_and_preconditions_exit_3(capsys):
+    for argv in (["transmission", *CELL_A, "--grid-re", "1"],
+                 ["fixed-points", *CELL_A, "--grid-re", "1"],
+                 ["transmission", *CELL_A, "--k", "0"],
+                 ["resonances", *CELL_A, "--k", "0"],
+                 ["resonances", *CELL_A, "--re-min", "3", "--re-max", "2"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.strip()
+    code, _, err = _run(capsys, ["fixed-points", "--b1", "2", "--b2", "2", "--x2", "0.3"])
+    assert code == 3
+    assert "two-step" in err

@@ -11,10 +11,10 @@ from stepslab import (ContourThroughZeroError, DeterminantOverflowError,
                       chain_determinants, convergence_study,
                       count_zeros_rectangle, default_im_floor, find_bands,
                       find_resonances, lyapunov, q_recursion,
-                      reflection_k, reflection_via_q, resonances_k1,
-                      spectral_period)
+                      reflection_via_q, resonances_k1, spectral_period)
+from stepslab import resolvent
 
-from conftest import DEEP, DEPTH_A1, EDGE_A3, den_winding
+from conftest import DEEP, DEPTH_A1, EDGE_A3, chain_reflection, den_winding
 
 
 def test_q_base_case(cell_a):
@@ -168,8 +168,8 @@ def test_reflection_via_q_matches_matrix_route(cell_a, cell_b):
     for cell in (cell_a, cell_b):
         lams = rng.uniform(0.05, 4.0, 60) + 1j * rng.uniform(-0.3, 0.3, 60)
         for k in (1, 2, 5, 8):
-            ra = np.asarray(reflection_k(cell, lams, k))
-            rb = np.asarray(reflection_via_q(cell, lams, k))
+            ra = np.asarray(reflection_via_q(cell, lams, k))
+            rb = np.asarray(chain_reflection(cell, lams, k))
             err = np.abs(ra - rb) / np.maximum(1.0, np.abs(ra))
             assert np.max(err) <= 1e-9
 
@@ -232,6 +232,37 @@ def test_contour_through_zero_raises_quickly(cell_a):
         with pytest.raises(ContourThroughZeroError):
             count_zeros_rectangle(cell_a, 1, *rect)
         assert time.perf_counter() - start < 1.0
+
+
+def test_audit_reraises_after_fifth_attempt(cell_a, monkeypatch):
+    # a floor on the one-cell root line puts the bottom side of every
+    # widened contour through the roots of band 2
+    rects = []
+    count = resolvent.count_zeros_rectangle
+
+    def recorder(*args):
+        rects.append(args[2:])
+        return count(*args)
+
+    monkeypatch.setattr(resolvent, "count_zeros_rectangle", recorder)
+    band = find_bands(cell_a, 4.0)[1]
+    start = time.perf_counter()
+    with pytest.raises(ContourThroughZeroError):
+        audit_count(cell_a, 1, band, im_floor=DEPTH_A1)
+    assert time.perf_counter() - start < 1.0
+    assert len(rects) == 5
+    assert len({rect[0] for rect in rects}) == 5  # each attempt widens the margin
+    assert all(rect[2] == DEPTH_A1 for rect in rects)
+
+
+def test_ill_ordered_ranges_raise(cell_a):
+    for rect in ((2.0, 1.0, -1.0, -1e-9), (1.0, 2.0, -1e-9, -1.0), (1.0, 1.0, -1.0, -1e-9)):
+        with pytest.raises(InvalidRangeError, match="ill ordered"):
+            count_zeros_rectangle(cell_a, 2, *rect)
+    with pytest.raises(InvalidRangeError):
+        resonances_k1(cell_a, 1.0, 2.0)
+    with pytest.raises(InvalidRangeError):
+        resonances_k1(cell_a, 4.0, -1.0)
 
 
 def test_cell_count_validation(cell_a):

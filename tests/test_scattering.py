@@ -95,12 +95,17 @@ def test_perfect_transmission_includes_interior_transparency(cell_b):
 
 
 def test_perfect_transmission_validates_band(cell_a):
-    with pytest.raises(BandMismatchError):
+    with pytest.raises(BandMismatchError, match="edges"):
         perfect_transmission_frequencies(
             cell_a, Band(1.3, 2.0, EdgeType.NONDEGENERATE, EdgeType.NONDEGENERATE, 1), 3)
     clipped = find_bands(cell_a, 4.0)[2]
     with pytest.raises(BandMismatchError):
         perfect_transmission_frequencies(cell_a, clipped, 3)
+    # both edges on |F| = 1, but the interval is the gap between bands 1 and 2
+    bands = find_bands(cell_a, 4.0)
+    gap = Band(bands[0].hi, bands[1].lo, EdgeType.NONDEGENERATE, EdgeType.NONDEGENERATE, 1)
+    with pytest.raises(BandMismatchError, match="midpoint"):
+        perfect_transmission_frequencies(cell_a, gap, 3)
     with pytest.raises(ValueError):
         perfect_transmission_frequencies(cell_a, find_bands(cell_a, 4.0)[0], 1)
     for k in (2.5, True):
