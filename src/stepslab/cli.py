@@ -68,8 +68,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, an optional JSON config file, and explicit flags.
 
     Flags win over file values; file values win over defaults.  The file
-    may set exactly the flags of the subcommand, and only the settings
-    the subcommand reads are validated.
+    may set exactly the flags of the subcommand, each value typed as its
+    flag would type it, and only the settings the subcommand reads are
+    validated.
     """
     keys = set(vars(args)) - {"command", "config"}
     cfg = {key: _DEFAULTS.get(key) for key in keys}
@@ -79,12 +80,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         unread = set(loaded) - keys
         if unread:
             raise ValueError(f"config keys that {args.command} does not read: {sorted(unread)}")
-        cfg.update(loaded)
+        cfg.update((key, _typed(key, val)) for key, val in loaded.items())
     cfg.update((key, val) for key, val in vars(args).items() if key in keys and val is not None)
     for name in ("b1", "b2", "x2"):
         if cfg[name] is None:
             raise ValueError(f"missing cell parameter --{name}")
-    cfg["cell"] = UnitCell(float(cfg["b1"]), float(cfg["b2"]), float(cfg["x2"]))
+    cfg["cell"] = UnitCell(cfg["b1"], cfg["b2"], cfg["x2"])
     if cfg["lambda_max"] is None or cfg["lambda_max"] <= 0.0:
         raise ValueError(f"lambda-max must be positive, got {cfg['lambda_max']}")
     if "grid_re" in keys and cfg["grid_re"] < 2:
@@ -99,6 +100,24 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not cfg["re_min"] <= cfg["re_max"]:
             raise ValueError("window ill ordered: re-min exceeds re-max")
     return cfg
+
+
+def _typed(key: str, value):
+    """A config file value as its flag would take it: the flag's type applied
+    to the value's text (a JSON list for ``k_list`` joined by commas) and its
+    choices checked.  null passes through as None."""
+    if value is None:
+        return None
+    if key == "k_list" and isinstance(value, list):
+        value = ",".join(map(str, value))
+    spec = _FLAGS[key]
+    try:
+        typed = spec.get("type", str)(str(value))
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        raise ValueError(f"config value {key}={value!r}: {err}") from None
+    if typed not in spec.get("choices", (typed,)):
+        raise ValueError(f"config value {key}={value!r}: choose from {spec['choices']}")
+    return typed
 
 
 def _meta(cfg: dict, command: str) -> dict:

@@ -154,15 +154,22 @@ def lyapunov_curvature(cell: UnitCell, lam):
                   + (rho - 1.0) * ts * ts * np.cos(lam * ts))
 
 
-def _band_offset(cell: UnitCell, lam):
+def _band_offset(cell: UnitCell, lam, slope: bool = False):
     """sign(Re F) and g = sign(Re F) F - 1 by half angles, at full precision near F = +-1:
-    F - 1 = (rho-1) sin^2(lam skew/2) - (rho+1) sin^2(lam tau/2), -F - 1 likewise with cos^2."""
+    F - 1 = (rho-1) sin^2(lam skew/2) - (rho+1) sin^2(lam tau/2), -F - 1 likewise with cos^2.
+    With ``slope``, also dg/dlam = sign(Re F) F' from the same sines and cosines."""
     rho = cell.mismatch
     a, b = 0.5 * lam * cell.transit_time, 0.5 * lam * cell.transit_skew
-    below = (rho - 1.0) * np.sin(b) ** 2 - (rho + 1.0) * np.sin(a) ** 2
-    above = (rho - 1.0) * np.cos(b) ** 2 - (rho + 1.0) * np.cos(a) ** 2
+    sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+    below = (rho - 1.0) * sb ** 2 - (rho + 1.0) * sa ** 2
+    above = (rho - 1.0) * cb ** 2 - (rho + 1.0) * ca ** 2
     sign = np.copysign(1.0, np.real(below - above))
-    return sign, np.where(sign > 0.0, below, above)
+    g = np.where(sign > 0.0, below, above)
+    if not slope:
+        return sign, g
+    # F' = ((rho-1) skew sin 2b - (rho+1) tau sin 2a) / 2, sin 2x = 2 sin x cos x
+    df = (rho - 1.0) * cell.transit_skew * sb * cb - (rho + 1.0) * cell.transit_time * sa * ca
+    return sign, g, sign * df
 
 
 def _cell_count(k):
@@ -172,31 +179,51 @@ def _cell_count(k):
     return k
 
 
-def chebyshev_pair(sign, g, k: int):
+def chebyshev_pair(sign, g, k: int, dg=None):
     """(U_{k-1}(f), U_{k-2}(f)) = 2**e (u, v) at f = sign (1 + g); M^k = 2**e (u M - v I).
 
     Binary doubling of U_j = 2f U_{j-1} - U_{j-2} (U_0 = 1, U_{-1} = 0) in O(log k),
     rescaled by an exact power of two per level so that nothing overflows.  It
     carries D = U_{n-1} - U_{n-2} and g (Reinsch's form), accurate at the band edges,
     and U_{n-2} itself, accurate where |f| >> 1 and U_{n-1} - D cancels.
+
+    Given the tangent dg of g, the same loop carries the tangents of (u, D, v)
+    (forward mode, the rescaling held constant) and returns (u, v, du, dv, e),
+    with 2**e (du, dv) the derivatives of (U_{k-1}(f), U_{k-2}(f)).
     """
     _cell_count(k)
     h = 2.0 * g
     u = d = 1.0 + 0.0 * h
     v = 0.0 * h
+    if dg is not None:
+        dh = 2.0 * dg
+        du = dd = dv = 0.0 * dh
     e = np.int64(0)
     for bit in bin(k)[3:]:
         hu = h * u  # U_{2n-1} = 2U(gU + D), D_{2n-1} = 2gU^2 + D^2, U_{2n-2} = D(U + V)
+        if dg is not None:
+            dhu = dh * u + h * du
+            du, dd, dv = (du * (hu + 2.0 * d) + u * (dhu + 2.0 * dd),
+                          dhu * u + hu * du + 2.0 * d * dd, dd * (u + v) + d * (du + dv))
         u, d, v = u * (hu + 2.0 * d), hu * u + d * d, d * (u + v)
         if bit == "1":  # D_n = D + 2gU, U_n = U + D_n, V_n = U
+            if dg is not None:
+                dd = dd + dh * u + h * du
+                du, dv = du + dd, du
             d = d + h * u
             u, v = u + d, u
         t = abs(u) + abs(d)
         s, ex = np.frexp(t)
         s /= t  # exactly 2**-ex
         u, d, v, e = u * s, d * s, v * s, 2 * e + ex
+        if dg is not None:
+            du, dd, dv = du * s, dd * s, dv * s
     # U_j(f) = sign**j U_j(sign f)
-    return (u, v * sign, e) if k % 2 else (u * sign, v, e)
+    if dg is None:
+        return (u, v * sign, e) if k % 2 else (u * sign, v, e)
+    if k % 2:
+        return u, v * sign, du, dv * sign, e
+    return u * sign, v, du * sign, dv, e
 
 
 def transfer_power(cell: UnitCell, lam, k: int) -> MonodromyMatrix:

@@ -181,26 +181,28 @@ def _assign_band(bands: list[Band], re: float, tol: float = 1e-6) -> int | None:
     return None
 
 
-def _resonance_condition(cell: UnitCell, k: int, z):
-    """d Q - 1 at z and its central difference slope, step 1e-7 (1 + |z|), in one call."""
-    step = 1e-7 * (1.0 + np.abs(z))
+@_blockwise
+def _resonance_condition(cell: UnitCell, lam, k: int):
+    """(h, h') with h = d Q - 1, from one kernel evaluation: with Q = (d den - num)/(den - d num),
+    h' = (1 - d^2) d (num den' - den num') / (den - d num)^2 exactly (the 2**e scale cancels)."""
+    d = cell.contrast
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = q_recursion(cell, np.concatenate([z, z + step, z - step]), k)
-        h, hp, hm = np.split(cell.contrast * q - 1.0, 3)
-        return h, (hp - hm) / (2.0 * step)
+        num, den, dnum, dden, _ = _slab_terms(cell, lam, k, slope=True)
+        pole = den - d * num
+        h = d * ((d * den - num) / pole) - 1.0
+        return h, (1.0 - d * d) * d * (num * dden - den * dnum) / pole ** 2
 
 
 def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
     """Vectorized damped-free Newton on the resonance condition.
 
-    The condition is analytic away from the poles of Q, so the
-    real-direction difference of ``_resonance_condition`` equals the
-    complex derivative.  Runs that lose finiteness are dropped.
+    Each step evaluates h = d Q - 1 and its exact derivative in one kernel
+    call (``_resonance_condition``).  Runs that lose finiteness are dropped.
     Converged points receive one extra polishing step, which drives
     residuals toward machine level.
     """
     z = seeds.astype(complex).copy()
-    h, dh = _resonance_condition(cell, k, z)
+    h, dh = _resonance_condition(cell, z, k)
     alive = np.isfinite(h)
     iters = np.zeros(z.shape, dtype=int)
     polish = np.zeros(z.shape, dtype=int)
@@ -210,7 +212,7 @@ def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
             break
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             znew = z[idx] - h[idx] / dh[idx]
-        hnew, dhnew = _resonance_condition(cell, k, znew)
+        hnew, dhnew = _resonance_condition(cell, znew, k)
         ok = np.isfinite(znew) & np.isfinite(hnew)
         good = idx[ok]
         z[good] = znew[ok]
@@ -237,9 +239,12 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     grid over the gaps acts as a negative control.  Imaginary parts use
     the ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2), which tracks the
     one-cell depth scale, extended by k-scaled shallow rungs for the
-    near-edge roots.  Converged roots are filtered to the window,
-    required to satisfy the residual tolerance, deduplicated, and
-    assigned a band by real-part membership.
+    near-edge roots.  All seeds run Newton together on d Q = 1, each step
+    one kernel evaluation of the value and its exact slope.  Converged
+    roots are filtered to the window, required to satisfy the residual
+    tolerance, deduplicated greedily in residual order (a root within
+    DEDUP_RADIUS of a kept one is dropped), and assigned a band by
+    real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -287,18 +292,16 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     roots, resid, iters = _newton_batch(cell, k, seeds)
 
     order = np.argsort(resid, kind="stable")
+    z = roots[order]
+    inside = ((resid[order] <= RESIDUAL_TOL) & (z.imag < _IM_CEILING)
+              & (z.imag >= window.im_min - 1e-9)
+              & (z.real >= window.re_min - 1e-9) & (z.real <= window.re_max + 1e-9))
     kept: list[tuple[complex, float, int, complex]] = []
-    for i in order:
-        if resid[i] > RESIDUAL_TOL:
-            break
-        lam = complex(roots[i])
-        if lam.imag >= _IM_CEILING or lam.imag < window.im_min - 1e-9:
-            continue
-        if lam.real < window.re_min - 1e-9 or lam.real > window.re_max + 1e-9:
-            continue
-        if any(abs(lam - other[0]) <= DEDUP_RADIUS for other in kept):
-            continue
-        kept.append((lam, float(resid[i]), int(iters[i]), complex(seeds[i])))
+    cand = order[inside]
+    while cand.size:  # keep the best remaining root, drop all within DEDUP_RADIUS of it
+        i = cand[0]
+        kept.append((complex(roots[i]), float(resid[i]), int(iters[i]), complex(seeds[i])))
+        cand = cand[np.abs(roots[cand] - roots[i]) > DEDUP_RADIUS]
 
     kept.sort(key=lambda t: (t[0].real, t[0].imag))
     return [Resonance(lam, r, _assign_band(bands, lam.real), it, seed)

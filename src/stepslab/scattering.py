@@ -24,14 +24,18 @@ _POLE_RTOL = 1e-13
 
 
 def _blockwise(fn, size=1 << 12):
-    """Run fn(cell, lam, k) on blocks of at most size frequencies; bounds its temporaries."""
+    """Run fn(cell, lam, k) on blocks of at most size frequencies; bounds its temporaries.
+    fn returns an array shaped like lam, or a tuple of them."""
     @functools.wraps(fn)
     def blocked(cell, lam, k):
         if np.size(lam) <= size:
             return fn(cell, lam, k)
         flat = np.ravel(lam)
-        return np.concatenate([fn(cell, flat[i:i + size], k)
-                               for i in range(0, flat.size, size)]).reshape(np.shape(lam))
+        parts = [fn(cell, flat[i:i + size], k) for i in range(0, flat.size, size)]
+
+        def join(blocks):
+            return np.concatenate(blocks).reshape(np.shape(lam))
+        return tuple(map(join, zip(*parts))) if isinstance(parts[0], tuple) else join(parts)
     return blocked
 
 
@@ -45,20 +49,28 @@ def _quotient(num, den, lam, pole_error):
         return num / den
 
 
-def _slab_terms(cell: UnitCell, lam, k: int):
+def _slab_terms(cell: UnitCell, lam, k: int, slope: bool = False):
     """(u N, u S - 2v, e): r_k = u N / (u S - 2v) from the k-cell entries 2**e (u M - v I).
 
     S = a + d + i(b1 g - b/b1) and N = d - a - i(b1 g + b/b1) of the one-cell
     entries are taken in closed form, 2 b1 b2 S = (b1+b2)^2 E - (b2-b1)^2 E' and
     2 b1 b2 N = (b2^2-b1^2)(E - E') with E = e^{-i lam tau}, E' = e^{i lam skew},
-    which do not cancel deep in the lower half plane as the entries do.
+    which do not cancel deep in the lower half plane as the entries do.  With
+    ``slope``, returns (num, den, num', den', e), the derivatives in lam exact.
     """
     b1, b2 = cell.b1, cell.b2
-    fwd, back = np.exp(-1j * lam * cell.transit_time), np.exp(1j * lam * cell.transit_skew)
+    tau, skew = cell.transit_time, cell.transit_skew
+    fwd, back = np.exp(-1j * lam * tau), np.exp(1j * lam * skew)
     s = ((b1 + b2) ** 2 * fwd - (b2 - b1) ** 2 * back) / (2.0 * b1 * b2)
     n = (b2 * b2 - b1 * b1) * (fwd - back) / (2.0 * b1 * b2)
-    u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
-    return u * n, u * s - 2.0 * v, e
+    if not slope:
+        u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
+        return u * n, u * s - 2.0 * v, e
+    sign, g, dg = _band_offset(cell, lam, slope=True)
+    u, v, du, dv, e = chebyshev_pair(sign, g, k, dg)
+    ds = -1j * ((b1 + b2) ** 2 * tau * fwd + (b2 - b1) ** 2 * skew * back) / (2.0 * b1 * b2)
+    dn = -1j * (b2 * b2 - b1 * b1) * (tau * fwd + skew * back) / (2.0 * b1 * b2)
+    return u * n, u * s - 2.0 * v, du * n + u * dn, du * s + u * ds - 2.0 * dv, e
 
 
 @_blockwise

@@ -301,6 +301,24 @@ def test_config_key_not_read_exits_2(tmp_path, capsys):
         assert repr(key) in err
 
 
+def test_config_value_takes_its_flags_type(tmp_path, capsys):
+    # --grid-re 2.5 is a usage error, so the same value from a file is one too
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"b1": 1.0, "b2": 4.0, "x2": 0.2, "grid_re": 2.5}))
+    code, out, err = _run(capsys, ["transmission", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "grid_re" in err
+
+
+def test_config_k_list_runs_as_the_flag(tmp_path, capsys):
+    code, want, _ = _run(capsys, ["converge", *CELL_A, "--k-list", "4,8"])
+    assert code == 0 and len(_rows(want)[1]) == 2
+    cfg = tmp_path / "run.json"
+    for k_list in ("4,8", [4, 8]):
+        cfg.write_text(json.dumps({"b1": 1.0, "b2": 4.0, "x2": 0.2, "k_list": k_list}))
+        assert _run(capsys, ["converge", "--config", str(cfg)]) == (0, want, "")
+
+
 def test_usage_errors_return_2_without_raising(capsys):
     for argv in (["bands", *CELL_A, "--bogus", "1"], [], ["nope"],
                  ["bands", *CELL_A, "--lambda-max", "x"], ["bands", *CELL_A, "--lambda"]):

@@ -7,9 +7,9 @@ from stepslab import (EdgeType, InvalidRangeError, Regime, UnitCell, bloch,
                       find_bands, lyapunov, lyapunov_curvature,
                       lyapunov_derivative, monodromy, spectral_period,
                       transfer_power)
-from stepslab.monodromy import _bisect
+from stepslab.monodromy import _band_offset, _bisect, chebyshev_pair
 
-from conftest import EDGE_A1, EDGE_A2, EDGE_A3
+from conftest import DEEP, EDGE_A1, EDGE_A2, EDGE_A3
 
 
 def _random_lams(rng, n, re=(0.05, 8.0), im=(-1.0, 1.0)):
@@ -326,3 +326,40 @@ def test_bisect_exact_zeros_and_bad_brackets():
     assert _bisect(lambda x: x, [], [], 1e-12).size == 0
     with pytest.raises(ValueError, match="sign"):
         _bisect(lambda x: x * x - c[:2], [1.5, 0.0], [3.0, 3.0], 1e-12)
+
+
+def test_chebyshev_tangent_leaves_values_bitwise(cell_a, cell_c):
+    rng = np.random.default_rng(43)
+    lams = np.concatenate([rng.uniform(0.0, 40.0, 500), _random_lams(rng, 500, im=(-5.0, 1.0))])
+    for cell in (cell_a, cell_c):
+        sign, g = _band_offset(cell, lams)
+        sign_t, g_t, dg = _band_offset(cell, lams, slope=True)
+        assert sign.tobytes() == sign_t.tobytes() and g.tobytes() == g_t.tobytes()
+        for k in (1, 2, 8, 1000, 4096):
+            u, v, e = chebyshev_pair(sign, g, k)
+            u_t, v_t, _, _, e_t = chebyshev_pair(sign, g, k, dg)
+            assert u.tobytes() == u_t.tobytes() and v.tobytes() == v_t.tobytes()
+            assert e.tobytes() == e_t.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 1025])
+def test_chebyshev_tangent_matches_extended_precision(k):
+    # reference: U_j and U_j' = 2 U_{j-1} + 2x U_{j-1}' - U_{j-2}' by the O(k)
+    # recurrence in 50-digit mpmath.  g within 1e-12 of the band edges, inside
+    # a band, in a gap, and at DEEP's cell at Im lam = -5, where |F| is about 1e9
+    mp = pytest.importorskip("mpmath")
+    cases = [(s, g) for s in (1.0, -1.0)
+             for g in (1e-12, -1e-12, 2e-12 - 1e-12j, -0.4 + 0.1j, 0.3, -1.7 + 0.2j)]
+    deep = _band_offset(DEEP, np.array([0.3 - 5j, 0.61 - 5j]))
+    cases += [(float(s), complex(g)) for s, g in zip(*deep)]
+    for sign, g in cases:
+        got = chebyshev_pair(sign, g, k, 1.0)  # dg = 1: derivatives in g
+        with mp.workdps(50):
+            x = sign * (1 + mp.mpc(g))
+            u, v, du, dv = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+            for _ in range(k - 1):
+                u, v, du, dv = 2 * x * u - v, u, 2 * u + 2 * x * du - dv, du
+            scale = mp.ldexp(1, -int(got[4]))
+            want = [complex(w * scale) for w in (u, v, sign * du, sign * dv)]
+        for value, ref in zip(got[:4], want):
+            assert abs(value - ref) <= 1e-12 * abs(ref)

@@ -329,3 +329,64 @@ def test_find_resonances_deterministic(cell_a):
     first = find_resonances(cell_a, 4, w)
     second = find_resonances(cell_a, 4, w)
     assert [(r.lam, r.residual) for r in first] == [(r.lam, r.residual) for r in second]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 256])
+def test_resonance_condition_slope_matches_extended_precision(cell_a, cell_b, cell_c, k):
+    # Newton's slope h' of h = d Q - 1 against mpmath's numerical derivative of h,
+    # which is built from the one-cell entries and the O(k) Chebyshev recurrence
+    # (Q = (d - r)/(1 - d r)); at DEEP's Im lam = -5 the entries cancel by 1e9
+    mp = pytest.importorskip("mpmath")
+    cases = [(cell, (0.37 - 0.21j, 1.9 - 0.0003j, 2.6 - 0.02j, 3.3 - 0.5j))
+             for cell in (cell_a, cell_b, cell_c)]
+    cases.append((DEEP, (0.3 - 5j, 0.61 - 2j)))
+    for cell, lams in cases:
+        _, slope = resolvent._resonance_condition(cell, np.array(lams), k)
+        with mp.workdps(60):
+            b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
+            c = (b2 - b1) / (b2 + b1)
+
+            def h(z):
+                arg_sum = z * (x2 * b2 + (1 - x2) * b1)
+                arg_diff = z * (b1 * (1 - x2) - b2 * x2)
+                p, m = b2 + b1, b2 - b1
+                a = (p * mp.cos(arg_sum) + m * mp.cos(arg_diff)) / (2 * b2)
+                b = (p * mp.sin(arg_sum) - m * mp.sin(arg_diff)) / 2
+                g = -(p * mp.sin(arg_sum) + m * mp.sin(arg_diff)) / (2 * b1 * b2)
+                d = (p * mp.cos(arg_sum) - m * mp.cos(arg_diff)) / (2 * b1)
+                u, v = mp.mpf(1), mp.mpf(0)
+                for _ in range(k - 1):
+                    u, v = (a + d) * u - v, u
+                ak, bk, gk, dk = u * a - v, u * b, u * g, u * d - v
+                r = ((dk - ak - 1j * (b1 * gk + bk / b1))
+                     / (dk + ak + 1j * (b1 * gk - bk / b1)))
+                return c * (c - r) / (1 - c * r) - 1
+
+            want = [complex(mp.diff(h, mp.mpc(lam))) for lam in lams]
+        for got, ref in zip(slope, want):
+            assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def test_dedup_matches_one_root_loop(cell_b, monkeypatch):
+    # reference: the loop that compared each candidate with every kept root
+    newton, seen = resolvent._newton_batch, {}
+
+    def recorded(cell, k, seeds):
+        seen["out"] = newton(cell, k, seeds)
+        return seen["out"]
+    monkeypatch.setattr(resolvent, "_newton_batch", recorded)
+    window = Window(0.2, 3.5, default_im_floor(cell_b))
+    got = [r.lam for r in find_resonances(cell_b, 24, window)]
+    roots, resid, _ = seen["out"]
+    candidates, kept = 0, []
+    for i in np.argsort(resid, kind="stable"):
+        lam = complex(roots[i])
+        if (resid[i] > resolvent.RESIDUAL_TOL or lam.imag >= resolvent._IM_CEILING
+                or not window.im_min - 1e-9 <= lam.imag
+                or not window.re_min - 1e-9 <= lam.real <= window.re_max + 1e-9):
+            continue
+        candidates += 1
+        if all(abs(lam - other) > resolvent.DEDUP_RADIUS for other in kept):
+            kept.append(lam)
+    assert candidates > 2 * len(kept)
+    assert sorted(kept, key=lambda z: (z.real, z.imag)) == got
