@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (ContourError, DeterminantOverflowError,
-                     EdgeDegeneracyError, HomogeneousCellError,
+from .errors import (EdgeDegeneracyError, HomogeneousCellError,
                      InvalidRangeError, NotCommensurateError, StepslabError)
 from .medium import UnitCell, transparency_frequencies
 from .mobius import fixed_points, iterate_limit, mobius_map, r1
@@ -277,11 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidRangeError, ValueError, OSError) as err:
         print(f"stepslab: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DeterminantOverflowError, ContourError, ArithmeticError) as err:
+    except (ArithmeticError, StepslabError) as err:
         print(f"stepslab: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except StepslabError as err:
-        print(f"stepslab: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

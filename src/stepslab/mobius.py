@@ -24,10 +24,9 @@ import numpy as np
 from .errors import (EdgeDegeneracyError, HomogeneousCellError,
                      NotCommensurateError)
 from .medium import UnitCell, is_commensurate
-from .monodromy import chebyshev_pair
+from .monodromy import Regime, _regime, chebyshev_pair
 
-#: |eta - 1| below this marks a degenerate edge, where the map collapses
-#: to the identity.
+#: |eta - 1| below this marks the map as the identity (at a degenerate edge).
 _ETA_TOL = 1e-12
 
 
@@ -35,6 +34,11 @@ class FixedPointKind(Enum):
     ELLIPTIC = "elliptic"
     PARABOLIC = "parabolic"
     HYPERBOLIC = "hyperbolic"
+
+
+#: The map's half trace is F, so its kind is the frequency's regime.
+_KIND = {Regime.BAND: FixedPointKind.ELLIPTIC, Regime.GAP: FixedPointKind.HYPERBOLIC,
+         Regime.NONDEGENERATE_EDGE: FixedPointKind.PARABOLIC}
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,9 @@ def r1_modulus_bound(cell: UnitCell) -> float:
 class FixedPointAnalysis:
     """Fixed points of the one-cell map and their Burckel class.
 
-    ``discriminant`` is cos^2(lam b2 x2) - d^2: positive inside bands
-    (elliptic), negative inside gaps (hyperbolic), zero at
-    non-degenerate edges (parabolic).
+    ``discriminant`` is cos^2(lam b2 x2) - d^2: positive inside bands,
+    negative inside gaps, zero at non-degenerate edges.  ``kind`` comes
+    from the regime, not from the sign of the discriminant.
     """
 
     z1: complex
@@ -117,6 +121,8 @@ def fixed_points(cell: UnitCell, lam: float) -> FixedPointAnalysis:
     phi = lam b2 x2; z1 is the root of smaller modulus (larger real part
     on ties).  Elliptic roots satisfy |z1| < 1 < |z2| and
     z1 * conj(z2) = 1; hyperbolic and parabolic roots are unimodular.
+    The kind is the regime of ``monodromy._regime`` (the half trace is F);
+    a degenerate edge raises EdgeDegeneracyError.
     """
     if not is_commensurate(cell):
         raise NotCommensurateError(
@@ -124,28 +130,16 @@ def fixed_points(cell: UnitCell, lam: float) -> FixedPointAnalysis:
     if cell.contrast == 0.0:
         raise HomogeneousCellError("the one-cell map of a homogeneous cell is a pure rotation")
     lam = float(lam)
+    kind = _KIND.get(_regime(cell, lam)[0])
+    if kind is None:
+        raise EdgeDegeneracyError(f"fixed points indeterminate at the degenerate edge {lam}")
     d = cell.contrast
     phi = lam * cell.b2 * cell.x2
-    eta = cmath.exp(2j * phi)
-    if abs(eta - 1.0) < _ETA_TOL:
-        raise EdgeDegeneracyError(
-            f"one-cell map degenerates to the identity at lam={lam}")
     c = math.cos(phi)
     disc = c * c - d * d
     root = cmath.sqrt(complex(disc))
     rot = cmath.exp(-1j * phi) / d
-    za = (c + root) * rot
-    zb = (c - root) * rot
-    if (abs(za), -za.real) <= (abs(zb), -zb.real):
-        z1, z2 = za, zb
-    else:
-        z1, z2 = zb, za
-    if disc > 1e-10 and c * c < 1.0:
-        kind = FixedPointKind.ELLIPTIC
-    elif disc < -1e-10:
-        kind = FixedPointKind.HYPERBOLIC
-    else:
-        kind = FixedPointKind.PARABOLIC
+    z1, z2 = sorted(((c + root) * rot, (c - root) * rot), key=lambda z: (abs(z), -z.real))
     return FixedPointAnalysis(z1, z2, kind, disc)
 
 
@@ -161,26 +155,25 @@ def iterate_limit(cell: UnitCell, lam: float, z0: complex,
     """Iterate the one-cell map max_iter = N times from z0 and report the limit.
 
     z_{N-1} and z_N come from the powers W^n = U_{n-1} W - U_{n-2} I of the
-    map's matrix; |z_N - z_{N-1}| < 1e-10 counts as converged.  Hyperbolic
-    and parabolic frequencies converge to a unimodular fixed point (the
-    half-infinite reflection coefficient); elliptic frequencies keep
-    rotating and are reported unconverged with z_N.  At a degenerate edge
-    the map is the identity and z0 is returned immediately.
+    map's matrix, with U's argument (sign, g) and the kind from one
+    ``monodromy._regime`` call, so nothing cancels near the edges;
+    |z_N - z_{N-1}| < 1e-10 counts as converged.  Hyperbolic and parabolic
+    frequencies converge to a unimodular fixed point (the half-infinite
+    reflection coefficient); elliptic frequencies keep rotating and are
+    reported unconverged with z_N.  Where W is the identity (|eta - 1| <
+    1e-12) z0 is returned at once.  The kind is None at a degenerate edge
+    and for a homogeneous cell.
     """
     if abs(z0) >= 1.0:
         raise ValueError(f"start point must lie inside the unit disk, got |z0|={abs(z0)}")
     fmap = mobius_map(cell, lam)
     if abs(fmap.eta - 1.0) < _ETA_TOL:
         return IterateResult(True, complex(z0), None)
-    kind: FixedPointKind | None
-    if cell.contrast == 0.0:
-        kind = None
-    else:
-        kind = fixed_points(cell, lam).kind
+    regime, sign, g, _ = _regime(cell, lam)
+    kind = None if cell.contrast == 0.0 else _KIND.get(regime)
     a, b, c, e = fmap.w
-    f = 0.5 * (a + e).real
-    sign = math.copysign(1.0, f)
-    u, v, _ = chebyshev_pair(sign, sign * f - 1.0, max_iter)
+    f = sign * (1.0 + g)
+    u, v, _ = chebyshev_pair(sign, g, max_iter)
     # z_n is the action of U_{n-1} W - U_{n-2} I on z0; U_{N-3} = 2f U_{N-2} - U_{N-1}
     z_prev, z_last = (((p * a - q) * z0 + p * b) / (p * c * z0 + p * e - q)
                       for p, q in ((v, 2.0 * f * v - u), (u, v)))

@@ -23,10 +23,8 @@ from .medium import UnitCell
 #: (two bands touching); the curvature must then be above it.
 EDGE_DERIVATIVE_TOL = 1e-8
 
-#: |F^2 - 1| below this counts as "on a band edge" for multiplier selection.
-_EDGE_F_TOL = 1e-12
-
-#: Bisection tolerance for band edge locations (absolute, in lambda).
+#: Bisection tolerance for band edge locations (absolute, in lambda); a real
+#: frequency whose first-order distance to |F| = 1 is within it is on an edge.
 _EDGE_LOCATION_TOL = 1e-12
 
 
@@ -201,11 +199,14 @@ def chebyshev_pair(sign, g, k: int, dg=None):
     e = np.int64(0)
     for bit in bin(k)[3:]:
         hu = h * u  # U_{2n-1} = 2U(gU + D), D_{2n-1} = 2gU^2 + D^2, U_{2n-2} = D(U + V)
+        # named, not temporary, right factors: NumPy would otherwise multiply a long
+        # array's temporary in place, swap the operands and change the last bit
+        w, p = hu + 2.0 * d, u + v
         if dg is not None:
             dhu = dh * u + h * du
-            du, dd, dv = (du * (hu + 2.0 * d) + u * (dhu + 2.0 * dd),
-                          dhu * u + hu * du + 2.0 * d * dd, dd * (u + v) + d * (du + dv))
-        u, d, v = u * (hu + 2.0 * d), hu * u + d * d, d * (u + v)
+            dw, dp = dhu + 2.0 * dd, du + dv
+            du, dd, dv = du * w + u * dw, dhu * u + hu * du + 2.0 * d * dd, dd * p + d * dp
+        u, d, v = u * w, hu * u + d * d, d * p
         if bit == "1":  # D_n = D + 2gU, U_n = U + D_n, V_n = U
             if dg is not None:
                 dd = dd + dh * u + h * du
@@ -230,77 +231,69 @@ def transfer_power(cell: UnitCell, lam, k: int) -> MonodromyMatrix:
     """Propagator over k cells: M^k = U_{k-1}(F) M - U_{k-2}(F) I.
 
     Never forms matrix products or an explicit Bloch phase; the O(log k)
-    ``chebyshev_pair`` is branch free in all of the complex plane.  Entries
-    beyond the floating-point range come out infinite.
+    ``chebyshev_pair`` is branch free in all of the complex plane.  A part
+    of an entry beyond the floating-point range comes out infinite, never NaN.
     """
     m = monodromy(cell, lam)
     u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
-    s = np.ldexp(1.0, e)
-    return MonodromyMatrix(s * (u * m.alpha - v), s * u * m.beta,
-                           s * u * m.gamma, s * (u * m.delta - v))
+    entries = np.array([u * m.alpha - v, u * m.beta, u * m.gamma, u * m.delta - v])
+    # 2**e part by part: an infinite real scale times a complex entry is NaN
+    for part in (entries.real, entries.imag) if np.iscomplexobj(entries) else (entries,):
+        np.ldexp(part, e, out=part)
+    return MonodromyMatrix(*entries)
 
 
-def _select_band_multiplier(cell: UnitCell, lam_re: float, f: float) -> complex:
-    """Contractive-limit multiplier at a real band frequency.
+def _edge_rule(cell: UnitCell, lam):
+    """(edge, degenerate, sign, g, g') at real frequencies: the one band, gap and edge rule,
+    on (sign, g = |F| - 1, g') from ``_band_offset``.  An edge has |g| <= tol |g'|
+    (tol = _EDGE_LOCATION_TOL) or g zero to its rounding, 4 eps (rho + 1); a degenerate
+    edge has |g'| < EDGE_DERIVATIVE_TOL and |g| <= tol.  Elsewhere g < 0 is a band."""
+    sign, g, dg = _band_offset(cell, lam, slope=True)
+    degenerate = (abs(dg) < EDGE_DERIVATIVE_TOL) & (abs(g) <= _EDGE_LOCATION_TOL)
+    rounding = 4.0 * math.ulp(1.0) * (cell.mismatch + 1.0)
+    edge = degenerate | (abs(g) <= _EDGE_LOCATION_TOL * abs(dg) + rounding)
+    return edge, degenerate, sign, g, dg
 
-    Approaching from the upper half plane, the contractive root tends to
-    F - i*sign(F')*sqrt(1-F^2); the sign follows from perturbing F by
-    i*eps*F'.  At an interior critical point of F the sign is resolved by
-    an explicit small excursion into the upper half plane.
-    """
-    s = math.sqrt(max(1.0 - f * f, 0.0))
-    df = lyapunov_derivative(cell, lam_re)
-    if abs(df) > 1e-12:
-        sgn = math.copysign(1.0, df)
-        return complex(f, -sgn * s)
-    fc = complex(lyapunov(cell, lam_re + 1e-6j))
-    root = cmath.sqrt(fc * fc - 1.0)
-    small = fc + root if abs(fc + root) <= abs(fc - root) else fc - root
-    cand = (complex(f, -s), complex(f, s))
-    return min(cand, key=lambda mu: abs(mu - small))
+
+def _regime(cell: UnitCell, lam: float):
+    """(regime, sign, g, g') at one real frequency, by ``_edge_rule``."""
+    edge, degenerate, *offset = _edge_rule(cell, lam)
+    sign, g, dg = map(float, offset)
+    if edge:
+        return (Regime.DEGENERATE_EDGE if degenerate else Regime.NONDEGENERATE_EDGE), sign, g, dg
+    return (Regime.BAND if g < 0.0 else Regime.GAP), sign, g, dg
 
 
 def bloch(cell: UnitCell, lam) -> BlochData:
     """Multipliers, Weyl functions and spectral regime at one frequency.
 
     The multipliers solve mu^2 - 2 F mu + 1 = 0; mu_minus is returned as
-    1/mu_plus so the product is exactly 1.  The regime is classified for
-    real frequencies only (None otherwise).
+    1/mu_plus so the product is exactly 1.  At real frequencies ``_regime``
+    gives the regime, F^2 - 1 = g (g + 2) and, on a band, the sign of F' in the
+    upper-half-plane limit F - i sgn(F') sqrt(1 - F^2); on an edge mu = sign F.
+    The regime is None at complex frequencies.
     """
     lam = complex(lam)
     m = monodromy(cell, lam)
-    f = 0.5 * (m.alpha + m.delta)
-    fc = complex(f)
+    fc = complex(0.5 * (m.alpha + m.delta))
     regime = None
 
     if lam.imag != 0.0:
         root = cmath.sqrt(fc * fc - 1.0)
-        big = fc + root if abs(fc + root) >= abs(fc - root) else fc - root
-        small = 1.0 / big
-        if lam.imag > 0.0:
-            mu_plus, mu_minus = small, big
-        else:
-            # analytic continuation across bands: Im(theta) < 0 below the axis
-            mu_plus, mu_minus = big, small
+        big = max(fc + root, fc - root, key=abs)
+        # below the axis, the analytic continuation across the bands: Im(theta) < 0
+        mu_plus, mu_minus = (1.0 / big, big) if lam.imag > 0.0 else (big, 1.0 / big)
     else:
-        f_re = fc.real
-        if abs(f_re * f_re - 1.0) <= _EDGE_F_TOL:
-            sign = 1.0 if f_re >= 0.0 else -1.0
-            mu_plus = mu_minus = complex(sign)
-            if abs(lyapunov_derivative(cell, lam.real)) < EDGE_DERIVATIVE_TOL:
-                regime = Regime.DEGENERATE_EDGE
-            else:
-                regime = Regime.NONDEGENERATE_EDGE
-        elif abs(f_re) < 1.0:
-            mu_plus = _select_band_multiplier(cell, lam.real, f_re)
+        regime, sign, g, dg = _regime(cell, lam.real)
+        if regime is Regime.BAND:
+            root = math.copysign(math.sqrt(-g * (g + 2.0)), dg)
+            mu_plus = complex(sign * (1.0 + g), -sign * root)
             mu_minus = 1.0 / mu_plus
-            regime = Regime.BAND
+        elif regime is Regime.GAP:
+            mu_minus = complex(sign * (1.0 + g + math.sqrt(g * (g + 2.0))))
+            mu_plus = 1.0 / mu_minus
         else:
-            root = math.sqrt(f_re * f_re - 1.0)
-            big = f_re + root if abs(f_re + root) >= abs(f_re - root) else f_re - root
-            mu_plus = complex(1.0 / big)
-            mu_minus = complex(big)
-            regime = Regime.GAP
+            mu_plus = mu_minus = complex(sign)
 
     beta, gamma = complex(m.beta), complex(m.gamma)
     if abs(beta) > 1e-12:
@@ -339,20 +332,15 @@ def _bisect(fn, a, b, tol: float):
     return 0.5 * (a + b)
 
 
-def _classify_edge(cell: UnitCell, lam: float) -> EdgeType:
-    if abs(lyapunov_derivative(cell, lam)) < EDGE_DERIVATIVE_TOL:
-        return EdgeType.DEGENERATE
-    return EdgeType.NONDEGENERATE
-
-
 def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     """All bands in (0, lambda_max], edges located to 1e-10 and classified.
 
     Crossings of F through +-1 are bracketed on a grid finer than the
     fastest oscillation of F and bisected; tangencies (degenerate edges,
     where two bands touch) are located as zeros of F' and split bands.
-    lambda = 0 is excluded.  A homogeneous cell has no interfaces and is
-    reported as a single clipped band.
+    ``_edge_rule`` decides which zeros of F' are tangencies and types
+    every edge.  lambda = 0 is excluded.  A homogeneous cell has no
+    interfaces and is reported as a single clipped band.
     """
     if lambda_max <= 0.0:
         raise InvalidRangeError(f"lambda_max must be positive, got {lambda_max}")
@@ -376,14 +364,13 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     # sign test may have stepped over
     i = np.flatnonzero(dfs[:-1] * dfs[1:] < 0.0)
     lam_c = _bisect(lambda x: lyapunov_derivative(cell, x), xs[i], xs[i + 1], tol)
-    f_c = lyapunov(cell, lam_c)
-    touch = abs(abs(f_c) - 1.0) <= 1e-9
+    _, touch, sign_c, g_c, _ = _edge_rule(cell, lam_c)
     edges.append(lam_c[touch])
     # an extremum that pokes past +-1 between grid points: two crossings
-    poke = ~touch & (abs(f_c) > 1.0)
+    poke = ~touch & (g_c > 0.0)
     lo = np.concatenate([xs[i[poke]], lam_c[poke]])
     hi = np.concatenate([lam_c[poke], xs[i[poke] + 1]])
-    target = np.tile(np.sign(f_c[poke]), 2)
+    target = np.tile(sign_c[poke], 2)
     keep = (lyapunov(cell, lo) - target) * (lyapunov(cell, hi) - target) < 0.0
     target = target[keep]
     edges.append(_bisect(lambda x: lyapunov(cell, x) - target, lo[keep], hi[keep], tol))
@@ -396,14 +383,12 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
 
     boundaries = [0.0] + deduped + [lambda_max]
     f_mid = lyapunov(cell, 0.5 * (np.array(boundaries[:-1]) + boundaries[1:]))
+    # None where the rule finds no edge: a band clipped by the scan limit
+    types = [EdgeType.DEGENERATE if deg else EdgeType.NONDEGENERATE if edge else None
+             for edge, deg in zip(*_edge_rule(cell, np.array(boundaries))[:2])]
     bands: list[Band] = []
-    for a, b, f in zip(boundaries[:-1], boundaries[1:], f_mid):
+    for i, (a, b, f) in enumerate(zip(boundaries[:-1], boundaries[1:], f_mid)):
         if b - a <= 1e-9 or abs(f) >= 1.0:
             continue
-        lo_type = _classify_edge(cell, a)
-        if b == lambda_max and abs(abs(lyapunov(cell, b)) - 1.0) > 1e-9:
-            hi_type = None  # clipped by the scan limit, not a real edge
-        else:
-            hi_type = _classify_edge(cell, b)
-        bands.append(Band(a, b, lo_type, hi_type, len(bands) + 1))
+        bands.append(Band(a, b, types[i], types[i + 1], len(bands) + 1))
     return bands

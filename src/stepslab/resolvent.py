@@ -235,8 +235,7 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     Newton seeds form a rectangular grid: real parts sample each band
     (plus small edge margins) at spacing width/(4k) and are anchored at
     the perfect-transmission frequencies, since resonance real parts are
-    confined to the bands and sit below the transmission peaks; a coarse
-    grid over the gaps acts as a negative control.  Imaginary parts use
+    confined to the bands and sit below the transmission peaks.  Imaginary parts use
     the ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2), which tracks the
     one-cell depth scale, extended by k-scaled shallow rungs for the
     near-edge roots.  All seeds run Newton together on d Q = 1, each step
@@ -282,10 +281,6 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
             except BandMismatchError:
                 pass  # band clipped by the scan limit; grid seeds only
         re_parts.append(np.asarray(anchors))
-    # negative control over the gaps
-    for left, right in zip(bands_in[:-1], bands_in[1:]):
-        if right.lo - left.hi > 1e-6:
-            re_parts.append(np.linspace(left.hi, right.lo, 7)[1:-1])
     re_pts = np.concatenate(re_parts)
     seeds = (re_pts[:, None] + 1j * depths[None, :]).ravel()
 

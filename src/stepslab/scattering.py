@@ -49,27 +49,33 @@ def _quotient(num, den, lam, pole_error):
         return num / den
 
 
-def _slab_terms(cell: UnitCell, lam, k: int, slope: bool = False):
-    """(u N, u S - 2v, e): r_k = u N / (u S - 2v) from the k-cell entries 2**e (u M - v I).
-
-    S = a + d + i(b1 g - b/b1) and N = d - a - i(b1 g + b/b1) of the one-cell
-    entries are taken in closed form, 2 b1 b2 S = (b1+b2)^2 E - (b2-b1)^2 E' and
-    2 b1 b2 N = (b2^2-b1^2)(E - E') with E = e^{-i lam tau}, E' = e^{i lam skew},
-    which do not cancel deep in the lower half plane as the entries do.  With
-    ``slope``, returns (num, den, num', den', e), the derivatives in lam exact.
-    """
+def _closed_s_n(cell: UnitCell, lam, slope: bool = False):
+    """(S, N) of the one-cell entries, S = a + d + i(b1 g - b/b1) and N = d - a - i(b1 g + b/b1),
+    in closed form: 2 b1 b2 S = (b1+b2)^2 E - (b2-b1)^2 E' and 2 b1 b2 N = (b2^2-b1^2)(E - E')
+    with E = e^{-i lam tau}, E' = e^{i lam skew}, which do not cancel deep in the lower half
+    plane as the entries do.  With ``slope``, returns (S, N, S', N'), the derivatives in lam."""
     b1, b2 = cell.b1, cell.b2
     tau, skew = cell.transit_time, cell.transit_skew
     fwd, back = np.exp(-1j * lam * tau), np.exp(1j * lam * skew)
     s = ((b1 + b2) ** 2 * fwd - (b2 - b1) ** 2 * back) / (2.0 * b1 * b2)
     n = (b2 * b2 - b1 * b1) * (fwd - back) / (2.0 * b1 * b2)
     if not slope:
-        u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
-        return u * n, u * s - 2.0 * v, e
-    sign, g, dg = _band_offset(cell, lam, slope=True)
-    u, v, du, dv, e = chebyshev_pair(sign, g, k, dg)
+        return s, n
     ds = -1j * ((b1 + b2) ** 2 * tau * fwd + (b2 - b1) ** 2 * skew * back) / (2.0 * b1 * b2)
     dn = -1j * (b2 * b2 - b1 * b1) * (tau * fwd + skew * back) / (2.0 * b1 * b2)
+    return s, n, ds, dn
+
+
+def _slab_terms(cell: UnitCell, lam, k: int, slope: bool = False):
+    """(u N, u S - 2v, e): r_k = u N / (u S - 2v) from the k-cell entries 2**e (u M - v I).
+    With ``slope``, returns (num, den, num', den', e), the derivatives in lam exact."""
+    if not slope:
+        s, n = _closed_s_n(cell, lam)
+        u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
+        return u * n, u * s - 2.0 * v, e
+    s, n, ds, dn = _closed_s_n(cell, lam, slope=True)
+    sign, g, dg = _band_offset(cell, lam, slope=True)
+    u, v, du, dv, e = chebyshev_pair(sign, g, k, dg)
     return u * n, u * s - 2.0 * v, du * n + u * dn, du * s + u * ds - 2.0 * dv, e
 
 
@@ -139,7 +145,7 @@ def reflection_half_infinite(cell: UnitCell, lam):
     bd = bloch(cell, lam)
     if bd.regime is Regime.DEGENERATE_EDGE:
         raise EdgeDegeneracyError(f"reflection limit indeterminate at degenerate edge {lam}")
-    n, s, _ = _slab_terms(cell, lam, 1)
+    s, n = _closed_s_n(cell, lam)
     value = _quotient(n, s - 2.0 * bd.mu_plus, lam, lambda: EdgeDegeneracyError(
         f"reflection limit indeterminate at {lam}"))
     if bd.regime is Regime.BAND:

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from stepslab import cli
 from stepslab.cli import build_parser, main
+from stepslab.errors import ContourThroughZeroError, StepslabError
 
 from conftest import DEPTH_A1, EDGE_A3
 
@@ -341,3 +343,15 @@ def test_invalid_settings_exit_2_and_preconditions_exit_3(capsys):
     code, _, err = _run(capsys, ["fixed-points", "--b1", "2", "--b2", "2", "--x2", "0.3"])
     assert code == 3
     assert "two-step" in err
+
+
+@pytest.mark.parametrize("error", [ContourThroughZeroError("phase winding failed"),
+                                   StepslabError("solver gave up")])
+def test_numerical_failure_exits_4(capsys, monkeypatch, error):
+    def fail(*args):
+        raise error
+    monkeypatch.setattr(cli, "find_bands", fail)
+    code, out, err = _run(capsys, ["bands", *CELL_A])
+    assert code == 4
+    assert out == ""
+    assert str(error) in err

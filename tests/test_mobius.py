@@ -186,3 +186,31 @@ def test_iterate_limit_at_degenerate_edge(cell_a):
 def test_iterate_limit_rejects_outside_disk(cell_a):
     with pytest.raises(ValueError):
         iterate_limit(cell_a, 0.5, 1.0 + 0.0j)
+
+
+def test_iterate_limit_near_an_edge_matches_the_slab():
+    # iterating N times from r1 gives r_{N+1}; within 1e-12 to 1e-3 of A's first
+    # edge the Chebyshev argument must not cancel (sign F - 1 formed from the map's
+    # trace loses about 1e-10 here)
+    cell = UnitCell(1.0, 4.0, 0.2)
+    n = 1000
+    for delta in 10.0 ** np.arange(-12, -2):
+        for lam in (EDGE_A1 - delta, EDGE_A1 + delta):
+            got = iterate_limit(cell, lam, r1(cell, lam), n).value
+            assert abs(got - reflection_k(cell, lam, n + 1)) <= 1e-13, lam
+
+
+def test_iterate_limit_near_a_touching_point_matches_extended_precision():
+    # 4e-5 from the touching point 5 pi at A: N = 10 000 map steps against the
+    # 40-digit matrix power W^N = (S diag(eta, 1))^(2N), S the interface involution
+    mp = pytest.importorskip("mpmath")
+    cell, lam, n = UnitCell(1.0, 4.0, 0.2), 15.708, 10_000
+    z0 = r1(cell, lam)
+    with mp.workdps(40):
+        b1, b2, x2 = mp.mpf(cell.b1), mp.mpf(cell.b2), mp.mpf(cell.x2)
+        d = (b2 - b1) / (b2 + b1)
+        eta = mp.expj(2 * mp.mpf(lam) * b2 * x2)
+        step = mp.matrix([[-1, d], [-d, 1]]) * mp.matrix([[eta, 0], [0, 1]])
+        w = (step * step) ** n
+        want = complex((w[0, 0] * z0 + w[0, 1]) / (w[1, 0] * z0 + w[1, 1]))
+    assert abs(iterate_limit(cell, lam, z0, n).value - want) <= 1e-10

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stepslab import (EdgeType, InvalidRangeError, Regime, UnitCell, bloch,
-                      find_bands, lyapunov, lyapunov_curvature,
+from stepslab import (EdgeDegeneracyError, EdgeType, FixedPointKind,
+                      InvalidRangeError, Regime, UnitCell, bloch, find_bands,
+                      fixed_points, lyapunov, lyapunov_curvature,
                       lyapunov_derivative, monodromy, spectral_period,
                       transfer_power)
 from stepslab.monodromy import _band_offset, _bisect, chebyshev_pair
@@ -216,6 +217,46 @@ def test_find_bands_edge_slopes(cell_a):
                 assert abs(lyapunov_curvature(cell_a, lam)) > 1e-8
 
 
+def test_one_rule_for_edges_bands_and_gaps(cell_family):
+    # every edge find_bands returns is an edge of the same type for bloch (and a
+    # parabolic or degenerate map on the commensurate cell A); 1e-11 off a
+    # nondegenerate edge and 1e-5 off a degenerate one, |F| - 1 decides
+    edge_regime = {EdgeType.NONDEGENERATE: Regime.NONDEGENERATE_EDGE,
+                   EdgeType.DEGENERATE: Regime.DEGENERATE_EDGE}
+    kind = {Regime.BAND: FixedPointKind.ELLIPTIC, Regime.GAP: FixedPointKind.HYPERBOLIC}
+    for cell in cell_family:
+        commensurate = cell == UnitCell(1.0, 4.0, 0.2)
+        edges = {}
+        for band in find_bands(cell, 40.0):
+            edges[band.lo] = band.lo_type
+            if band.hi_type is not None:
+                edges[band.hi] = band.hi_type
+        for lam, edge_type in edges.items():
+            assert bloch(cell, lam).regime is edge_regime[edge_type], (cell, lam)
+            if commensurate and edge_type is EdgeType.NONDEGENERATE:
+                assert fixed_points(cell, lam).kind is FixedPointKind.PARABOLIC
+            elif commensurate:
+                with pytest.raises(EdgeDegeneracyError):
+                    fixed_points(cell, lam)
+            step = 1e-11 if edge_type is EdgeType.NONDEGENERATE else 1e-5
+            for off in (lam - step, lam + step):
+                want = Regime.BAND if abs(lyapunov(cell, off)) < 1.0 else Regime.GAP
+                assert bloch(cell, off).regime is want, (cell, off)
+                if commensurate:
+                    assert fixed_points(cell, off).kind is kind[want], (cell, off)
+
+
+def test_near_tangency_is_a_narrow_gap():
+    # F peaks at 1 + 1e-10 near lam = 29.9914 on this low-contrast cell: a gap
+    # about 1.7e-5 wide between two nondegenerate edges, not a touching point
+    cell = UnitCell(1.6754175651385717, 1.6767342320622913, 0.4376704321762081)
+    bands = find_bands(cell, 30.5)
+    left, right = next((a, b) for a, b in zip(bands, bands[1:]) if a.hi < 29.99145 < b.lo)
+    assert right.lo - left.hi == pytest.approx(1.7e-5, rel=0.05)
+    assert left.hi_type is right.lo_type is EdgeType.NONDEGENERATE
+    assert bloch(cell, 0.5 * (left.hi + right.lo)).regime is Regime.GAP
+
+
 def test_find_bands_uniform_cell(uniform):
     bands = find_bands(uniform, 10.0)
     assert len(bands) == 1
@@ -363,3 +404,28 @@ def test_chebyshev_tangent_matches_extended_precision(k):
             want = [complex(w * scale) for w in (u, v, sign * du, sign * dv)]
         for value, ref in zip(got[:4], want):
             assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_chebyshev_pair_independent_of_batch_length(cell_a):
+    # NumPy multiplies a temporary of 16384 or more elements in place; the
+    # kernel must not let that swap the operands of a complex product
+    rng = np.random.default_rng(47)
+    lams = rng.uniform(0.1, 8.0, 20_000) + 1j * rng.uniform(-1.0, 0.5, 20_000)
+    sign, g, dg = _band_offset(cell_a, lams, slope=True)
+
+    def pairs(s):  # values alone, then values and tangents
+        return chebyshev_pair(sign[s], g[s], 1000) + chebyshev_pair(sign[s], g[s], 1000, dg[s])
+    whole = pairs(slice(None))
+    parts = [pairs(slice(i, i + 4000)) for i in range(0, lams.size, 4000)]
+    for one, five in zip(whole, zip(*parts)):
+        assert one.tobytes() == np.concatenate(five).tobytes()
+
+
+def test_transfer_power_overflows_to_inf_not_nan(cell_a):
+    rng = np.random.default_rng(59)
+    lams = rng.uniform(0.1, 8.0, 4000) - 1j * rng.uniform(0.0, 1.0, 4000)
+    with np.errstate(over="ignore"):
+        mk = transfer_power(cell_a, lams, 1000)
+    entries = np.stack([mk.alpha, mk.beta, mk.gamma, mk.delta])
+    assert not np.any(np.isnan(entries))
+    assert np.any(np.isinf(entries))  # the points do leave the floating-point range
