@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (EdgeDegeneracyError, HomogeneousCellError,
                      NotCommensurateError)
 from .medium import UnitCell, is_commensurate
-from .monodromy import Regime, _regime, chebyshev_pair
+from .monodromy import Regime, _arith, _regime, chebyshev_pair
 
 #: |eta - 1| below this marks the map as the identity (at a degenerate edge).
 _ETA_TOL = 1e-12
@@ -87,10 +87,10 @@ def r1(cell: UnitCell, lam):
     the propagator-route value at k = 1.  For real frequencies
     |r1| <= 2|d|/(1 + d^2) < 1, with equality mid-gap.
     """
+    lam, lib = _arith(lam)
     d = cell.contrast
-    eta = np.exp(2j * np.asarray(lam) * cell.b2 * cell.x2)
-    out = d * (1.0 - eta) / (1.0 - d * d * eta)
-    return complex(out) if out.ndim == 0 else out
+    eta = (np.exp if lib is np else cmath.exp)(2j * lam * cell.b2 * cell.x2)
+    return d * (1.0 - eta) / (1.0 - d * d * eta)
 
 
 def r1_modulus_bound(cell: UnitCell) -> float:

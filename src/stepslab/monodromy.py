@@ -107,16 +107,34 @@ class Band:
         return self.lo - tol <= x <= self.hi + tol
 
 
+def _arith(lam):
+    """(lam, lib): one real frequency as a float with ``math``, one complex frequency as a
+    complex with ``cmath``, anything else as an array with numpy.  The kernel takes its
+    arithmetic from lib, so one frequency pays no numpy overhead on 0-d values.  Where
+    a sine or exponential leaves the floating-point range (an infinite lam, or |Im lam|
+    tau beyond about 700) math and cmath raise OverflowError or ValueError; numpy gives
+    inf or NaN there, and none of the kernel's results is finite."""
+    if isinstance(lam, (float, int)):
+        return float(lam), math
+    if isinstance(lam, complex):
+        return complex(lam), cmath
+    lam = np.asarray(lam)
+    if lam.ndim:
+        return lam, np
+    return (complex(lam), cmath) if np.iscomplexobj(lam) else (float(lam), math)
+
+
 def monodromy(cell: UnitCell, lam) -> MonodromyMatrix:
     """One-cell propagator at frequency lam (scalar or array, any complex).
 
     Entries are real for real lam.  det = 1 identically.
     """
+    lam, lib = _arith(lam)
     b1, b2 = cell.b1, cell.b2
     arg_sum = lam * cell.transit_time
     arg_diff = lam * (b1 * (1.0 - cell.x2) - b2 * cell.x2)
-    cs, cd = np.cos(arg_sum), np.cos(arg_diff)
-    ss, sd = np.sin(arg_sum), np.sin(arg_diff)
+    cs, cd = lib.cos(arg_sum), lib.cos(arg_diff)
+    ss, sd = lib.sin(arg_sum), lib.sin(arg_diff)
     p, m = b2 + b1, b2 - b1
     alpha = (p * cs + m * cd) / (2.0 * b2)
     beta = (p * ss - m * sd) / 2.0
@@ -152,17 +170,34 @@ def lyapunov_curvature(cell: UnitCell, lam):
                   + (rho - 1.0) * ts * ts * np.cos(lam * ts))
 
 
+def _half_angles(cell: UnitCell, lam):
+    """(lam, lib, half) with lam and lib from ``_arith`` and half = (sin a, cos a, sin b, cos b)
+    at a = lam tau/2, b = lam skew/2: the only trigonometry of the kernel at real frequencies."""
+    lam, lib = _arith(lam)
+    a, b = 0.5 * lam * cell.transit_time, 0.5 * lam * cell.transit_skew
+    return lam, lib, (lib.sin(a), lib.cos(a), lib.sin(b), lib.cos(b))
+
+
 def _band_offset(cell: UnitCell, lam, slope: bool = False):
     """sign(Re F) and g = sign(Re F) F - 1 by half angles, at full precision near F = +-1:
     F - 1 = (rho-1) sin^2(lam skew/2) - (rho+1) sin^2(lam tau/2), -F - 1 likewise with cos^2.
-    With ``slope``, also dg/dlam = sign(Re F) F' from the same sines and cosines."""
+    With ``slope``, also dg/dlam = sign(Re F) F' from the same sines and cosines.  One
+    frequency is computed with ``math`` or ``cmath`` and plain branches, an array with numpy."""
+    return _offset(cell, *_half_angles(cell, lam)[1:], slope)
+
+
+def _offset(cell: UnitCell, lib, half, slope: bool = False):
+    """``_band_offset`` from the half-angle sines and cosines of ``_half_angles``."""
     rho = cell.mismatch
-    a, b = 0.5 * lam * cell.transit_time, 0.5 * lam * cell.transit_skew
-    sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
-    below = (rho - 1.0) * sb ** 2 - (rho + 1.0) * sa ** 2
-    above = (rho - 1.0) * cb ** 2 - (rho + 1.0) * ca ** 2
-    sign = np.copysign(1.0, np.real(below - above))
-    g = np.where(sign > 0.0, below, above)
+    sa, ca, sb, cb = half
+    below = (rho - 1.0) * (sb * sb) - (rho + 1.0) * (sa * sa)
+    above = (rho - 1.0) * (cb * cb) - (rho + 1.0) * (ca * ca)
+    if lib is np:
+        sign = np.copysign(1.0, np.real(below - above))
+        g = np.where(sign > 0.0, below, above)
+    else:
+        sign = math.copysign(1.0, (below - above).real)
+        g = below if sign > 0.0 else above
     if not slope:
         return sign, g
     # F' = ((rho-1) skew sin 2b - (rho+1) tau sin 2a) / 2, sin 2x = 2 sin x cos x
@@ -188,6 +223,9 @@ def chebyshev_pair(sign, g, k: int, dg=None):
     Given the tangent dg of g, the same loop carries the tangents of (u, D, v)
     (forward mode, the rescaling held constant) and returns (u, v, du, dv, e),
     with 2**e (du, dv) the derivatives of (U_{k-1}(f), U_{k-2}(f)).
+
+    Scalar (sign, g) stay Python numbers, rescaled by ``math.frexp`` with e a
+    Python int; arrays use ``np.frexp`` with an int64 e.
     """
     _cell_count(k)
     h = 2.0 * g
@@ -196,7 +234,7 @@ def chebyshev_pair(sign, g, k: int, dg=None):
     if dg is not None:
         dh = 2.0 * dg
         du = dd = dv = 0.0 * dh
-    e = np.int64(0)
+    frexp, e = (np.frexp, np.int64(0)) if isinstance(h, np.ndarray) else (math.frexp, 0)
     for bit in bin(k)[3:]:
         hu = h * u  # U_{2n-1} = 2U(gU + D), D_{2n-1} = 2gU^2 + D^2, U_{2n-2} = D(U + V)
         # named, not temporary, right factors: NumPy would otherwise multiply a long
@@ -214,7 +252,7 @@ def chebyshev_pair(sign, g, k: int, dg=None):
             d = d + h * u
             u, v = u + d, u
         t = abs(u) + abs(d)
-        s, ex = np.frexp(t)
+        s, ex = frexp(t)
         s /= t  # exactly 2**-ex
         u, d, v, e = u * s, d * s, v * s, 2 * e + ex
         if dg is not None:
@@ -232,14 +270,16 @@ def transfer_power(cell: UnitCell, lam, k: int) -> MonodromyMatrix:
 
     Never forms matrix products or an explicit Bloch phase; the O(log k)
     ``chebyshev_pair`` is branch free in all of the complex plane.  A part
-    of an entry beyond the floating-point range comes out infinite, never NaN.
+    of an entry beyond the floating-point range comes out infinite, never NaN,
+    and without an overflow warning.
     """
     m = monodromy(cell, lam)
     u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
     entries = np.array([u * m.alpha - v, u * m.beta, u * m.gamma, u * m.delta - v])
     # 2**e part by part: an infinite real scale times a complex entry is NaN
-    for part in (entries.real, entries.imag) if np.iscomplexobj(entries) else (entries,):
-        np.ldexp(part, e, out=part)
+    with np.errstate(over="ignore"):  # an infinite part is the documented result
+        for part in (entries.real, entries.imag) if np.iscomplexobj(entries) else (entries,):
+            np.ldexp(part, e, out=part)
     return MonodromyMatrix(*entries)
 
 

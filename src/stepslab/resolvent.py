@@ -93,7 +93,7 @@ def q_recursion(cell: UnitCell, lam, k: int):
     """
     d = cell.contrast
     num, den, _ = _slab_terms(cell, lam, k)
-    return _quotient(d * den - num, den - d * num, lam,
+    return _quotient(d * den - num, den - d * num,
                      lambda: RecursionPoleError(lam, 2 * k))
 
 

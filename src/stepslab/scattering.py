@@ -6,6 +6,7 @@ the left of the slab, a pure transmitted wave on the right.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import (BandMismatchError, BoundaryValueWarning,
                      EdgeDegeneracyError, PoleProximityError)
 from .medium import UnitCell, transparency_frequencies
-from .monodromy import (Band, Regime, _band_offset, _bisect, _cell_count,
+from .monodromy import (Band, Regime, _arith, _bisect, _cell_count, _half_angles, _offset,
                         bloch, chebyshev_pair, lyapunov)
 
 #: Denominator-to-numerator ratio below which a quotient is treated as a
@@ -28,7 +29,7 @@ def _blockwise(fn, size=1 << 12):
     fn returns an array shaped like lam, or a tuple of them."""
     @functools.wraps(fn)
     def blocked(cell, lam, k):
-        if np.size(lam) <= size:
+        if isinstance(lam, (float, int, complex)) or np.size(lam) <= size:
             return fn(cell, lam, k)
         flat = np.ravel(lam)
         parts = [fn(cell, flat[i:i + size], k) for i in range(0, flat.size, size)]
@@ -39,9 +40,9 @@ def _blockwise(fn, size=1 << 12):
     return blocked
 
 
-def _quotient(num, den, lam, pole_error):
-    """num/den; for scalar lam, raise pole_error() when den is negligible."""
-    if np.ndim(lam) == 0:
+def _quotient(num, den, pole_error):
+    """num/den; for one frequency, raise pole_error() when den is negligible."""
+    if not isinstance(den, np.ndarray):
         if abs(den) <= _POLE_RTOL * abs(num):
             raise pole_error()
         return complex(num) / complex(den)
@@ -49,14 +50,25 @@ def _quotient(num, den, lam, pole_error):
         return num / den
 
 
-def _closed_s_n(cell: UnitCell, lam, slope: bool = False):
+def _phases(cell: UnitCell, lam, lib, half):
+    """(E, E') = (e^{-i lam tau}, e^{i lam skew}), from ``_half_angles``.  At real lam,
+    (cos a - i sin a)^2 and (cos b + i sin b)^2 from its sines, in real arithmetic, so one
+    frequency and an array agree bitwise; at complex lam by exp, since those products of
+    sizes e^{|Im lam| tau / 2} cancel in the lower half plane."""
+    if lib is cmath or lib is np and np.iscomplexobj(lam):
+        return lib.exp(-1j * lam * cell.transit_time), lib.exp(1j * lam * cell.transit_skew)
+    sa, ca, sb, cb = half
+    return ca * ca - sa * sa - 2j * (ca * sa), cb * cb - sb * sb + 2j * (cb * sb)
+
+
+def _closed_s_n(cell: UnitCell, fwd, back, slope: bool = False):
     """(S, N) of the one-cell entries, S = a + d + i(b1 g - b/b1) and N = d - a - i(b1 g + b/b1),
     in closed form: 2 b1 b2 S = (b1+b2)^2 E - (b2-b1)^2 E' and 2 b1 b2 N = (b2^2-b1^2)(E - E')
-    with E = e^{-i lam tau}, E' = e^{i lam skew}, which do not cancel deep in the lower half
-    plane as the entries do.  With ``slope``, returns (S, N, S', N'), the derivatives in lam."""
+    with (E, E') = (fwd, back) from ``_phases``, which do not cancel deep in the lower half
+    plane as the entries do.  With ``slope``, returns (S, N, S', N'), the derivatives in lam.
+    Plain arithmetic: Python numbers for one frequency, numpy for an array."""
     b1, b2 = cell.b1, cell.b2
     tau, skew = cell.transit_time, cell.transit_skew
-    fwd, back = np.exp(-1j * lam * tau), np.exp(1j * lam * skew)
     s = ((b1 + b2) ** 2 * fwd - (b2 - b1) ** 2 * back) / (2.0 * b1 * b2)
     n = (b2 * b2 - b1 * b1) * (fwd - back) / (2.0 * b1 * b2)
     if not slope:
@@ -68,14 +80,18 @@ def _closed_s_n(cell: UnitCell, lam, slope: bool = False):
 
 def _slab_terms(cell: UnitCell, lam, k: int, slope: bool = False):
     """(u N, u S - 2v, e): r_k = u N / (u S - 2v) from the k-cell entries 2**e (u M - v I).
-    With ``slope``, returns (num, den, num', den', e), the derivatives in lam exact."""
+    With ``slope``, returns (num, den, num', den', e), the derivatives in lam exact.
+
+    One frequency runs in Python arithmetic (``math`` or ``cmath``), an array in numpy;
+    a real lam takes E and E' from the half angles that also give F, a complex lam
+    (complex dtype, even with zero imaginary parts) from exp."""
+    lam, lib, half = _half_angles(cell, lam)
+    s, n, *dsn = _closed_s_n(cell, *_phases(cell, lam, lib, half), slope)
+    sign, g, *dg = _offset(cell, lib, half, slope)
+    u, v, *duv, e = chebyshev_pair(sign, g, k, *dg)
     if not slope:
-        s, n = _closed_s_n(cell, lam)
-        u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
         return u * n, u * s - 2.0 * v, e
-    s, n, ds, dn = _closed_s_n(cell, lam, slope=True)
-    sign, g, dg = _band_offset(cell, lam, slope=True)
-    u, v, du, dv, e = chebyshev_pair(sign, g, k, dg)
+    (ds, dn), (du, dv) = dsn, duv
     return u * n, u * s - 2.0 * v, du * n + u * dn, du * s + u * ds - 2.0 * dv, e
 
 
@@ -90,7 +106,7 @@ def reflection_k(cell: UnitCell, lam, k: int):
     Accepts scalar or array lam; the pole check applies to scalars only.
     """
     num, den, _ = _slab_terms(cell, lam, k)
-    return _quotient(num, den, lam, lambda: PoleProximityError(lam))
+    return _quotient(num, den, lambda: PoleProximityError(lam))
 
 
 @_blockwise
@@ -99,14 +115,21 @@ def transmission_sq(cell: UnitCell, lam, k: int):
 
     |t_k|^2 = 4 / (|U_{k-1}(F) N|^2 + 4), computed as tau / (|num|^2 + tau)
     with tau = 4 * 2**(-2e), lies in [0, 1] for every real frequency, band
-    edges included (0 below the floating-point range).
+    edges included (0 below the floating-point range).  Real arithmetic only,
+    Python floats for one frequency and numpy for an array: |N| =
+    |b2^2 - b1^2| |sin(a + b)| / (b1 b2), since |E - E'| = 2 |sin(a + b)|, from
+    the sines and cosines of a = lam tau/2, b = lam skew/2 that also give F.
     """
-    if np.any(np.imag(lam) != 0.0):
+    lam, lib = _arith(lam)
+    if lib is not math and np.any(np.imag(lam) != 0.0):
         raise ValueError("transmission probability is defined for real frequencies")
-    num, _, e = _slab_terms(cell, np.real(lam), k)
-    tau = np.ldexp(4.0, -2 * e)
-    out = tau / (abs(num) ** 2 + tau)
-    return float(out) if out.ndim == 0 else out
+    lam, lib, half = _half_angles(cell, lam.real)
+    u, _, e = chebyshev_pair(*_offset(cell, lib, half), k)
+    sa, ca, sb, cb = half
+    b1, b2 = cell.b1, cell.b2
+    num = (b2 * b2 - b1 * b1) / (b1 * b2) * u * (sa * cb + ca * sb)
+    tau = lib.ldexp(4.0, -2 * e)
+    return tau / (num * num + tau)
 
 
 def perfect_transmission_frequencies(cell: UnitCell, band: Band, k: int) -> list[float]:
@@ -145,8 +168,8 @@ def reflection_half_infinite(cell: UnitCell, lam):
     bd = bloch(cell, lam)
     if bd.regime is Regime.DEGENERATE_EDGE:
         raise EdgeDegeneracyError(f"reflection limit indeterminate at degenerate edge {lam}")
-    s, n = _closed_s_n(cell, lam)
-    value = _quotient(n, s - 2.0 * bd.mu_plus, lam, lambda: EdgeDegeneracyError(
+    s, n = _closed_s_n(cell, *_phases(cell, *_half_angles(cell, lam)))
+    value = _quotient(n, s - 2.0 * bd.mu_plus, lambda: EdgeDegeneracyError(
         f"reflection limit indeterminate at {lam}"))
     if bd.regime is Regime.BAND:
         warnings.warn("in-band value is the upper-half-plane boundary limit",

@@ -65,6 +65,29 @@ DEPTH_A1 = math.log(0.6) / 0.8
 DEEP = UnitCell(4.557477135240766, 0.5, 0.1)
 
 
+def mp_slab(mp, cell: UnitCell, lam, k: int):
+    """(r_k, |t_k|^2) in mpmath at its working precision: the one-cell entries and
+    the O(k) Chebyshev recurrence U_j = 2F U_{j-1} - U_{j-2}, sharing no code
+    with the kernel.  |t_k|^2 = 4 / (|U_{k-1} N|^2 + 4) holds on the real axis only."""
+    b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
+    z = mp.mpc(lam)
+    arg_sum = z * (x2 * b2 + (1 - x2) * b1)
+    arg_diff = z * (b1 * (1 - x2) - b2 * x2)
+    p, m = b2 + b1, b2 - b1
+    a = (p * mp.cos(arg_sum) + m * mp.cos(arg_diff)) / (2 * b2)
+    b = (p * mp.sin(arg_sum) - m * mp.sin(arg_diff)) / 2
+    g = -(p * mp.sin(arg_sum) + m * mp.sin(arg_diff)) / (2 * b1 * b2)
+    d = (p * mp.cos(arg_sum) - m * mp.cos(arg_diff)) / (2 * b1)
+    f = (a + d) / 2
+    u, v = mp.mpf(1), mp.mpf(0)
+    for _ in range(k - 1):
+        u, v = 2 * f * u - v, u
+    ak, bk, gk, dk = u * a - v, u * b, u * g, u * d - v
+    num = dk - ak - 1j * (b1 * gk + bk / b1)
+    r = num / (dk + ak + 1j * (b1 * gk - bk / b1))
+    return r, 4 / (abs(num) ** 2 + 4)
+
+
 def chain_reflection(cell: UnitCell, lam, k: int):
     """Slab reflection from the interface-chain determinants, a route that
     shares no code with ``reflection_k``'s kernel:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -429,3 +430,13 @@ def test_transfer_power_overflows_to_inf_not_nan(cell_a):
     entries = np.stack([mk.alpha, mk.beta, mk.gamma, mk.delta])
     assert not np.any(np.isnan(entries))
     assert np.any(np.isinf(entries))  # the points do leave the floating-point range
+
+
+def test_transfer_power_overflow_is_silent(cell_a):
+    # an infinite part is the documented result, not a numpy overflow warning
+    rng = np.random.default_rng(61)
+    lams = rng.uniform(0.1, 8.0, 4000) - 1j * rng.uniform(0.0, 1.0, 4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mk = transfer_power(cell_a, lams, 1000)
+    assert np.any(np.isinf(mk.alpha))

@@ -10,7 +10,7 @@ from stepslab import (Band, BandMismatchError, BoundaryValueWarning, EdgeType,
                       reflection_half_infinite, reflection_k, resonances_k1,
                       transmission_sq, transparency_frequencies)
 
-from conftest import DEEP, EDGE_A3
+from conftest import DEEP, EDGE_A3, mp_slab
 
 
 def test_unitarity(cell_family):
@@ -201,21 +201,6 @@ def test_reflection_matches_extended_precision_off_axis(cell_a, cell_b, k):
     cases += [(DEEP, lam, 120) for lam in (0.61 - 2j, 0.3 - 5j, 0.2 - 12j, 0.3 - 20j)]
     for cell, lam, dps in cases:
         with mp.workdps(dps):
-            b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
-            z = mp.mpc(lam)
-            arg_sum = z * (x2 * b2 + (1 - x2) * b1)
-            arg_diff = z * (b1 * (1 - x2) - b2 * x2)
-            p, m = b2 + b1, b2 - b1
-            a = (p * mp.cos(arg_sum) + m * mp.cos(arg_diff)) / (2 * b2)
-            b = (p * mp.sin(arg_sum) - m * mp.sin(arg_diff)) / 2
-            g = -(p * mp.sin(arg_sum) + m * mp.sin(arg_diff)) / (2 * b1 * b2)
-            d = (p * mp.cos(arg_sum) - m * mp.cos(arg_diff)) / (2 * b1)
-            f = (a + d) / 2
-            u, v = mp.mpf(1), mp.mpf(0)
-            for _ in range(k - 1):
-                u, v = 2 * f * u - v, u
-            ak, bk, gk, dk = u * a - v, u * b, u * g, u * d - v
-            ref = complex((dk - ak - 1j * (b1 * gk + bk / b1))
-                          / (dk + ak + 1j * (b1 * gk - bk / b1)))
+            ref = complex(mp_slab(mp, cell, lam, k)[0])
         got = reflection_k(cell, lam, k)
         assert abs(got - ref) <= 1e-12 * abs(ref)
