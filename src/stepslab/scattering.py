@@ -50,25 +50,23 @@ def _quotient(num, den, pole_error):
         return num / den
 
 
-def _phases(cell: UnitCell, lam, lib, half):
-    """(E, E') = (e^{-i lam tau}, e^{i lam skew}), from ``_half_angles``.  At real lam,
-    (cos a - i sin a)^2 and (cos b + i sin b)^2 from its sines, in real arithmetic, so one
-    frequency and an array agree bitwise; at complex lam by exp, since those products of
-    sizes e^{|Im lam| tau / 2} cancel in the lower half plane."""
-    if lib is cmath or lib is np and np.iscomplexobj(lam):
-        return lib.exp(-1j * lam * cell.transit_time), lib.exp(1j * lam * cell.transit_skew)
-    sa, ca, sb, cb = half
-    return ca * ca - sa * sa - 2j * (ca * sa), cb * cb - sb * sb + 2j * (cb * sb)
-
-
-def _closed_s_n(cell: UnitCell, fwd, back, slope: bool = False):
+def _closed_s_n(cell: UnitCell, lam, lib, half, slope: bool = False):
     """(S, N) of the one-cell entries, S = a + d + i(b1 g - b/b1) and N = d - a - i(b1 g + b/b1),
     in closed form: 2 b1 b2 S = (b1+b2)^2 E - (b2-b1)^2 E' and 2 b1 b2 N = (b2^2-b1^2)(E - E')
-    with (E, E') = (fwd, back) from ``_phases``, which do not cancel deep in the lower half
+    with E = e^{-i lam tau}, E' = e^{i lam skew}, which do not cancel deep in the lower half
     plane as the entries do.  With ``slope``, returns (S, N, S', N'), the derivatives in lam.
-    Plain arithmetic: Python numbers for one frequency, numpy for an array."""
+
+    lam, lib and half come from ``_half_angles``: Python numbers for one frequency, numpy
+    for an array.  At real lam, E = (cos a - i sin a)^2 and E' = (cos b + i sin b)^2 from
+    the half angles in real arithmetic, so one frequency and an array agree bitwise; at
+    complex lam by exp, since those products of sizes e^{|Im lam| tau/2} cancel below the axis."""
     b1, b2 = cell.b1, cell.b2
     tau, skew = cell.transit_time, cell.transit_skew
+    if lib is cmath or lib is np and lam.dtype.kind == "c":
+        fwd, back = lib.exp(-1j * lam * tau), lib.exp(1j * lam * skew)
+    else:
+        sa, ca, sb, cb = half
+        fwd, back = ca * ca - sa * sa - 2j * (ca * sa), cb * cb - sb * sb + 2j * (cb * sb)
     s = ((b1 + b2) ** 2 * fwd - (b2 - b1) ** 2 * back) / (2.0 * b1 * b2)
     n = (b2 * b2 - b1 * b1) * (fwd - back) / (2.0 * b1 * b2)
     if not slope:
@@ -86,8 +84,9 @@ def _slab_terms(cell: UnitCell, lam, k: int, slope: bool = False):
     a real lam takes E and E' from the half angles that also give F, a complex lam
     (complex dtype, even with zero imaginary parts) from exp."""
     lam, lib, half = _half_angles(cell, lam)
-    s, n, *dsn = _closed_s_n(cell, *_phases(cell, lam, lib, half), slope)
+    s, n, *dsn = _closed_s_n(cell, lam, lib, half, slope)
     sign, g, *dg = _offset(cell, lib, half, slope)
+    del half  # four arrays fewer in cache during the doubling loop
     u, v, *duv, e = chebyshev_pair(sign, g, k, *dg)
     if not slope:
         return u * n, u * s - 2.0 * v, e
@@ -168,7 +167,7 @@ def reflection_half_infinite(cell: UnitCell, lam):
     bd = bloch(cell, lam)
     if bd.regime is Regime.DEGENERATE_EDGE:
         raise EdgeDegeneracyError(f"reflection limit indeterminate at degenerate edge {lam}")
-    s, n = _closed_s_n(cell, *_phases(cell, *_half_angles(cell, lam)))
+    s, n = _closed_s_n(cell, *_half_angles(cell, lam))
     value = _quotient(n, s - 2.0 * bd.mu_plus, lambda: EdgeDegeneracyError(
         f"reflection limit indeterminate at {lam}"))
     if bd.regime is Regime.BAND:
