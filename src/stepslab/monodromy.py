@@ -172,7 +172,7 @@ def lyapunov_curvature(cell: UnitCell, lam):
 
 def _half_angles(cell: UnitCell, lam):
     """(lam, lib, half) with lam and lib from ``_arith`` and half = (sin a, cos a, sin b, cos b)
-    at a = lam tau/2, b = lam skew/2: the only trigonometry of the kernel at real frequencies."""
+    at a = lam tau/2, b = lam skew/2: all the trigonometry the slab terms need at real lam."""
     lam, lib = _arith(lam)
     a, b = 0.5 * lam * cell.transit_time, 0.5 * lam * cell.transit_skew
     return lam, lib, (lib.sin(a), lib.cos(a), lib.sin(b), lib.cos(b))
