@@ -7,6 +7,7 @@ background, is the scatterer studied by the rest of the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,22 +31,22 @@ class UnitCell:
         if not 0.0 < self.x2 < 1.0:
             raise ValueError(f"interface position must lie in (0, 1), got x2={self.x2}")
 
-    @property
+    @functools.cached_property
     def contrast(self) -> float:
         """Single-interface reflection amplitude (b2 - b1)/(b2 + b1), in (-1, 1)."""
         return (self.b2 - self.b1) / (self.b2 + self.b1)
 
-    @property
+    @functools.cached_property
     def mismatch(self) -> float:
         """(b1^2 + b2^2) / (2 b1 b2); at least 1, equal to 1 iff b1 == b2."""
         return (self.b1 * self.b1 + self.b2 * self.b2) / (2.0 * self.b1 * self.b2)
 
-    @property
+    @functools.cached_property
     def transit_time(self) -> float:
         """Travel time across one cell, x2*b2 + (1 - x2)*b1."""
         return self.x2 * self.b2 + (1.0 - self.x2) * self.b1
 
-    @property
+    @functools.cached_property
     def transit_skew(self) -> float:
         """Difference of the layer travel times, x2*b2 - (1 - x2)*b1."""
         return self.x2 * self.b2 - (1.0 - self.x2) * self.b1

@@ -3,10 +3,10 @@
 Resonances are the lower-half-plane poles of the meromorphically
 continued resolvent, equivalently of the slab reflection coefficient.
 They solve d * Q(lam) = 1 where Q is the terminal value of a bounded
-linear-fractional recursion over the 2k interfaces; the equivalent
+linear-fractional recursion over the 2k interfaces, and they are the zeros
+of the entire slab denominator den, the root-finding target; the equivalent
 interface-chain determinant vanishes there but grows like (b1+b2)^(2k),
-so the recursion form is the root-finding target and the determinant is
-kept as a low-k cross check and as the argument-principle counter.
+so it is kept as a low-k cross check and as the argument-principle counter.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ class Resonance:
 
 
 def default_im_floor(cell: UnitCell) -> float:
-    """Default search depth; empirically below every first-band resonance
-    for k >= 2 at desk-scale parameters (the one-cell depth is
-    ln|d|/(b2 x2), and depths shrink as k grows)."""
+    """Default search depth -1/(b2 x2), the one-cell depth ln|d|/(b2 x2) at |d| = 1/e.  Weak
+    contrast can put every small-k root below it: UnitCell(1.5134323549576634, 1.8507482821005143,
+    0.7988427563170095), |d| = 0.10, has none above -0.676 in bands 1 and 2 at k = 2."""
     return -1.0 / (cell.b2 * cell.x2)
 
 
@@ -183,41 +183,40 @@ def _assign_band(bands: list[Band], re: float, tol: float = 1e-6) -> int | None:
 
 @_blockwise
 def _resonance_condition(cell: UnitCell, lam, k: int):
-    """(h, h') with h = d Q - 1, from one kernel evaluation: with Q = (d den - num)/(den - d num),
-    h' = (1 - d^2) d (num den' - den num') / (den - d num)^2 exactly (the 2**e scale cancels)."""
+    """(h, den/den') from one kernel evaluation: the residual h = d Q - 1 =
+    (d^2 - 1) den/(den - d num), and the Newton step on the entire den = u S - 2v, whose
+    zeros are the resonances (the 2**e scale cancels in both quotients)."""
     d = cell.contrast
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num, den, dnum, dden, _ = _slab_terms(cell, lam, k, slope=True)
-        pole = den - d * num
-        h = d * ((d * den - num) / pole) - 1.0
-        return h, (1.0 - d * d) * d * (num * dden - den * dnum) / pole ** 2
+        num, den, dden, _ = _slab_terms(cell, lam, k, slope=True)
+        return (d * d - 1.0) * den / (den - d * num), den / dden
 
 
 def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
-    """Vectorized damped-free Newton on the resonance condition.
+    """Vectorized damped-free Newton on den, the entire denominator of r_k.
 
-    Each step evaluates h = d Q - 1 and its exact derivative in one kernel
-    call (``_resonance_condition``).  Runs that lose finiteness are dropped.
-    Converged points receive one extra polishing step, which drives
-    residuals toward machine level.
+    Each step takes den/den' and the residual h = d Q - 1 from one kernel
+    call (``_resonance_condition``), so the poles of h (the zeros of
+    den - d num) do not scatter the runs.  Runs whose step is not finite
+    are dropped.  Converged points receive one extra polishing step,
+    which drives residuals toward machine level.
     """
     z = seeds.astype(complex).copy()
-    h, dh = _resonance_condition(cell, z, k)
-    alive = np.isfinite(h)
+    h, step = _resonance_condition(cell, z, k)
+    alive = np.isfinite(step)
     iters = np.zeros(z.shape, dtype=int)
     polish = np.zeros(z.shape, dtype=int)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            znew = z[idx] - h[idx] / dh[idx]
-        hnew, dhnew = _resonance_condition(cell, znew, k)
-        ok = np.isfinite(znew) & np.isfinite(hnew)
+        znew = z[idx] - step[idx]
+        hnew, snew = _resonance_condition(cell, znew, k)
+        ok = np.isfinite(snew)
         good = idx[ok]
         z[good] = znew[ok]
         h[good] = hnew[ok]
-        dh[good] = dhnew[ok]
+        step[good] = snew[ok]
         iters[good] = it
         alive[idx[~ok]] = False
         hit = good[np.abs(hnew[ok]) <= RESIDUAL_TOL]
@@ -238,12 +237,12 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     confined to the bands and sit below the transmission peaks.  Imaginary parts use
     the ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2), which tracks the
     one-cell depth scale, extended by k-scaled shallow rungs for the
-    near-edge roots.  All seeds run Newton together on d Q = 1, each step
-    one kernel evaluation of the value and its exact slope.  Converged
-    roots are filtered to the window, required to satisfy the residual
-    tolerance, deduplicated greedily in residual order (a root within
-    DEDUP_RADIUS of a kept one is dropped), and assigned a band by
-    real-part membership.
+    near-edge roots.  All seeds run Newton together on the entire slab
+    denominator den, each step one kernel evaluation of den/den' and of
+    the residual |d Q - 1|.  Converged roots are filtered to the window,
+    required to satisfy the residual tolerance, deduplicated greedily in
+    residual order (a root within DEDUP_RADIUS of a kept one is dropped),
+    and assigned a band by real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:

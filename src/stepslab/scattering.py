@@ -54,7 +54,7 @@ def _closed_s_n(cell: UnitCell, lam, lib, half, slope: bool = False):
     """(S, N) of the one-cell entries, S = a + d + i(b1 g - b/b1) and N = d - a - i(b1 g + b/b1),
     in closed form: 2 b1 b2 S = (b1+b2)^2 E - (b2-b1)^2 E' and 2 b1 b2 N = (b2^2-b1^2)(E - E')
     with E = e^{-i lam tau}, E' = e^{i lam skew}, which do not cancel deep in the lower half
-    plane as the entries do.  With ``slope``, returns (S, N, S', N'), the derivatives in lam.
+    plane as the entries do.  With ``slope``, returns (S, N, S'), S' the derivative in lam.
 
     lam, lib and half come from ``_half_angles``: Python numbers for one frequency, numpy
     for an array.  At real lam, E = (cos a - i sin a)^2 and E' = (cos b + i sin b)^2 from
@@ -72,13 +72,12 @@ def _closed_s_n(cell: UnitCell, lam, lib, half, slope: bool = False):
     if not slope:
         return s, n
     ds = -1j * ((b1 + b2) ** 2 * tau * fwd + (b2 - b1) ** 2 * skew * back) / (2.0 * b1 * b2)
-    dn = -1j * (b2 * b2 - b1 * b1) * (tau * fwd + skew * back) / (2.0 * b1 * b2)
-    return s, n, ds, dn
+    return s, n, ds
 
 
 def _slab_terms(cell: UnitCell, lam, k: int, slope: bool = False):
     """(u N, u S - 2v, e): r_k = u N / (u S - 2v) from the k-cell entries 2**e (u M - v I).
-    With ``slope``, returns (num, den, num', den', e), the derivatives in lam exact.
+    With ``slope``, returns (num, den, den', e), den' the exact derivative in lam.
 
     One frequency runs in Python arithmetic (``math`` or ``cmath``), an array in numpy;
     a real lam takes E and E' from the half angles that also give F, a complex lam
@@ -90,8 +89,8 @@ def _slab_terms(cell: UnitCell, lam, k: int, slope: bool = False):
     u, v, *duv, e = chebyshev_pair(sign, g, k, *dg)
     if not slope:
         return u * n, u * s - 2.0 * v, e
-    (ds, dn), (du, dv) = dsn, duv
-    return u * n, u * s - 2.0 * v, du * n + u * dn, du * s + u * ds - 2.0 * dv, e
+    (ds,), (du, dv) = dsn, duv
+    return u * n, u * s - 2.0 * v, du * s + u * ds - 2.0 * dv, e
 
 
 @_blockwise

@@ -55,6 +55,20 @@ def test_cell_invariants_random_family():
         assert cell.transit_time > abs(cell.transit_skew)
 
 
+def test_derived_constants_kept_per_cell():
+    # computed once per cell, bitwise the formulas; eq, hash and repr see the fields only
+    b1, b2, x2 = 1.5134323549576634, 1.8507482821005143, 0.7988427563170095
+    cell, fresh = UnitCell(b1, b2, x2), UnitCell(b1, b2, x2)
+    want = ((b2 - b1) / (b2 + b1), (b1 * b1 + b2 * b2) / (2.0 * b1 * b2),
+            x2 * b2 + (1.0 - x2) * b1, x2 * b2 - (1.0 - x2) * b1)
+    for _ in range(2):
+        got = (cell.contrast, cell.mismatch, cell.transit_time, cell.transit_skew)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert cell.transit_time is cell.transit_time
+    assert cell == fresh and hash(cell) == hash(fresh) and repr(cell) == repr(fresh)
+    assert repr(cell) == f"UnitCell(b1={b1!r}, b2={b2!r}, x2={x2!r})"
+
+
 def test_mismatch_is_one_only_for_uniform():
     assert UnitCell(2.0, 2.0, 0.3).mismatch == 1.0
     assert UnitCell(2.0, 2.0001, 0.3).mismatch > 1.0

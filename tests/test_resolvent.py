@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import time
 
@@ -147,6 +148,30 @@ def test_resonance_counts_and_localization(cell_a):
             per_band[r.band_index] += 1
         assert per_band[1] in (k - 1, k)
         assert per_band[2] in (k - 1, k)
+
+
+def _complete_band_counts(cell, k, re_max):
+    """Roots per band, by band index, of every band that ends inside Window(0, re_max)."""
+    found = find_resonances(cell, k, Window(0.0, re_max, default_im_floor(cell)))
+    counts = collections.Counter(r.band_index for r in found)
+    return {b.index: counts[b.index] for b in find_bands(cell, re_max) if b.hi_type is not None}
+
+
+@pytest.mark.parametrize("k", [64, 128])
+def test_reference_cells_complete_at_large_k(cell_a, cell_b, cell_c, k):
+    # the paper's count: k - 1 or k resonances in every band
+    for cell in (cell_a, cell_b, cell_c):
+        counts = _complete_band_counts(cell, k, 4.0)
+        assert len(counts) == 2 and all(n in (k - 1, k) for n in counts.values()), (cell, counts)
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_random_cells_complete(k):
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        cell = UnitCell(*rng.uniform(0.5, 5.0, 2), rng.uniform(0.1, 0.9))
+        counts = _complete_band_counts(cell, k, 4.0)
+        assert all(n in (k - 1, k) for n in counts.values()), (cell, counts)
 
 
 def test_resonance_set_conjugate_symmetric(cell_a):
@@ -333,20 +358,21 @@ def test_find_resonances_deterministic(cell_a):
 
 @pytest.mark.parametrize("k", [1, 2, 7, 64, 256])
 def test_resonance_condition_slope_matches_extended_precision(cell_a, cell_b, cell_c, k):
-    # Newton's slope h' of h = d Q - 1 against mpmath's numerical derivative of h,
-    # which is built from the one-cell entries and the O(k) Chebyshev recurrence
-    # (Q = (d - r)/(1 - d r)); at DEEP's Im lam = -5 the entries cancel by 1e9
+    # the residual h = d Q - 1 and Newton's step den/den' on the slab denominator
+    # against mpmath, both built from the one-cell entries and the O(k) Chebyshev
+    # recurrence (den' by mpmath's numerical derivative, Q = (d - r)/(1 - d r));
+    # at DEEP's Im lam = -5 the entries cancel by 1e9
     mp = pytest.importorskip("mpmath")
     cases = [(cell, (0.37 - 0.21j, 1.9 - 0.0003j, 2.6 - 0.02j, 3.3 - 0.5j))
              for cell in (cell_a, cell_b, cell_c)]
     cases.append((DEEP, (0.3 - 5j, 0.61 - 2j)))
     for cell, lams in cases:
-        _, slope = resolvent._resonance_condition(cell, np.array(lams), k)
+        h_got, step_got = resolvent._resonance_condition(cell, np.array(lams), k)
         with mp.workdps(60):
             b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
             c = (b2 - b1) / (b2 + b1)
 
-            def h(z):
+            def num_den(z):
                 arg_sum = z * (x2 * b2 + (1 - x2) * b1)
                 arg_diff = z * (b1 * (1 - x2) - b2 * x2)
                 p, m = b2 + b1, b2 - b1
@@ -358,12 +384,19 @@ def test_resonance_condition_slope_matches_extended_precision(cell_a, cell_b, ce
                 for _ in range(k - 1):
                     u, v = (a + d) * u - v, u
                 ak, bk, gk, dk = u * a - v, u * b, u * g, u * d - v
-                r = ((dk - ak - 1j * (b1 * gk + bk / b1))
-                     / (dk + ak + 1j * (b1 * gk - bk / b1)))
+                return (dk - ak - 1j * (b1 * gk + bk / b1),
+                        dk + ak + 1j * (b1 * gk - bk / b1))
+
+            def h(z):
+                num, den = num_den(z)
+                r = num / den
                 return c * (c - r) / (1 - c * r) - 1
 
-            want = [complex(mp.diff(h, mp.mpc(lam))) for lam in lams]
-        for got, ref in zip(slope, want):
+            h_want = [complex(h(mp.mpc(lam))) for lam in lams]
+            step_want = [complex(num_den(mp.mpc(lam))[1]
+                                 / mp.diff(lambda z: num_den(z)[1], mp.mpc(lam)))
+                         for lam in lams]
+        for got, ref in zip([*h_got, *step_got], h_want + step_want):
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
