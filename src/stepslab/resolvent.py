@@ -4,9 +4,10 @@ Resonances are the lower-half-plane poles of the meromorphically
 continued resolvent, equivalently of the slab reflection coefficient.
 They solve d * Q(lam) = 1 where Q is the terminal value of a bounded
 linear-fractional recursion over the 2k interfaces, and they are the zeros
-of the entire slab denominator den, the root-finding target; the equivalent
-interface-chain determinant vanishes there but grows like (b1+b2)^(2k),
-so it is kept as a low-k cross check and as the argument-principle counter.
+of the entire slab denominator den, the root-finding target.  The
+interface-chain determinant, den times a known nonvanishing factor from the
+same O(log k) kernel call, is the argument-principle counter; it grows like
+(b1+b2)^(2k) e^{|Im lam| b1 k} and raises DeterminantOverflowError past 1e300.
 """
 
 from __future__ import annotations
@@ -103,11 +104,18 @@ class ChainDeterminants(NamedTuple):
     peak: float
 
 
-def _chain_position(m: int, x2: float) -> float:
-    """Interface position of index m >= 2 in the alternating chain."""
-    if m % 2 == 0:
-        return m // 2 - 1 + x2
-    return (m - 1) // 2
+@_blockwise
+def _chain_terms(cell: UnitCell, lam, k: int):
+    """(value, companion) from one kernel call, r_k = num/den with the k-cell scale 2**e:
+    value = -(4 b1 b2)^k e^{i lam b1 k} 2^e den / 2 and
+    companion = (4 b1 b2)^k e^{i lam b1 (2(1 - x2) - k)} 2^e num / 2.  The real scale
+    enters the exponent as a log, so only the finished products can overflow."""
+    b1 = cell.b1
+    num, den, e = _slab_terms(cell, lam, k)
+    log_scale = k * math.log(4.0 * b1 * cell.b2) + (e - 1) * math.log(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (-np.exp(log_scale + 1j * lam * b1 * k) * den,
+                np.exp(log_scale + 1j * lam * b1 * (2.0 * (1.0 - cell.x2) - k)) * num)
 
 
 def chain_determinants(cell: UnitCell, lam, k: int) -> ChainDeterminants:
@@ -116,35 +124,22 @@ def chain_determinants(cell: UnitCell, lam, k: int) -> ChainDeterminants:
     The chain alternates b1, b2, b1, ..., b1 with interfaces at
     0, x2, 1, 1+x2, ..., k-1, k-1+x2.  The determinant is entire in lam
     and vanishes exactly at the resonances; the companion determinant
-    drives the two-term recursion.  ``peak`` records the largest
-    intermediate magnitude for scale-aware zero tests.  Raises on
-    overflow past 1e300 (the determinant grows like (b1+b2)^(2k)).
+    drives the two-term recursion.  Both are the slab terms of the O(log k)
+    kernel times known factors (``_chain_terms``).  ``peak`` is
+    max(|value|, |companion|) over the batch, for scale-aware zero tests.
+    Raises when that peak is above 1e300 or not finite (the determinant
+    grows like (b1+b2)^(2k), and like e^{|Im lam| b1 k} below the axis).
     """
-    _cell_count(k)
     lam = np.asarray(lam, dtype=complex)
-    b1, b2, x2 = cell.b1, cell.b2, cell.x2
-    det = (b1 + b2) * np.ones_like(lam)
-    comp = (b2 - b1) * np.ones_like(lam)
-    peak = float(np.max(np.abs(det)))
-    n_steps = 2 * k + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(3, n_steps + 1):
-            b_new = b1 if n % 2 == 1 else b2
-            b_prev = b2 if n % 2 == 1 else b1
-            x_prev = _chain_position(n - 1, x2)
-            e_new = np.exp(1j * lam * b_new * x_prev)
-            e_prev = np.exp(1j * lam * b_prev * x_prev)
-            diff, total = b_prev - b_new, b_prev + b_new
-            det, comp = (e_new * (diff * e_prev * comp - total * det / e_prev),
-                         (diff * det / e_prev - total * e_prev * comp) / e_new)
-            m = max(float(np.max(np.abs(det))), float(np.max(np.abs(comp))))
-            if not math.isfinite(m) or m > 1e300:
-                raise DeterminantOverflowError(
-                    f"determinant chain overflowed at step n={n}; use the recursion route")
-            peak = max(peak, m)
+    value, companion = _chain_terms(cell, lam, k)
+    peak = max(float(np.max(np.abs(value))), float(np.max(np.abs(companion))))
+    if not math.isfinite(peak) or peak > 1e300:
+        del lam, value, companion  # the error's traceback keeps this frame alive
+        raise DeterminantOverflowError(
+            f"chain determinant of {k} cells overflows (peak {peak}); use the recursion route")
     if lam.ndim == 0:
-        return ChainDeterminants(complex(det), complex(comp), peak)
-    return ChainDeterminants(det, comp, peak)
+        return ChainDeterminants(complex(value), complex(companion), peak)
+    return ChainDeterminants(value, companion, peak)
 
 
 def resonances_k1(cell: UnitCell, re_max: float, re_min: float = 0.0) -> list[Resonance]:
@@ -257,10 +252,10 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     im_scale = 1.0 / (2.0 * cell.b2 * cell.x2)
     # the four deep rungs track the one-cell depth scale; the k-scaled
     # shallow rungs keep the near-edge roots, whose depth shrinks like
-    # 1/k^2, inside the Newton basin
-    rungs = np.concatenate([[0.02, 0.1, 0.3, 0.7],
-                            np.array([2.0, 0.6, 0.2]) / (k * k)])
-    depths = -np.unique(rungs) * im_scale
+    # 1/k^2, inside the Newton basin.  A set, not np.unique, which imports
+    # numpy.ma; at k = 10, 2/k^2 is the 0.02 rung.
+    rungs = {0.02, 0.1, 0.3, 0.7, *(c / (k * k) for c in (2.0, 0.6, 0.2))}
+    depths = -np.array(sorted(rungs)) * im_scale
 
     re_parts: list[np.ndarray] = []
     for b in bands_in:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stepslab import UnitCell, chain_determinants, lyapunov
+from stepslab import ChainDeterminants, UnitCell, lyapunov
 
 try:
     from hypothesis import settings
@@ -88,13 +88,45 @@ def mp_slab(mp, cell: UnitCell, lam, k: int):
     return r, 4 / (abs(num) ** 2 + 4)
 
 
+def chain_recurrence(cell: UnitCell, lam, k: int) -> ChainDeterminants:
+    """Determinant and companion of the (2k+1)-step interface chain by the plain
+    two-term recurrence over its 2k interfaces, sharing no code with the kernel.
+
+    The chain alternates b1, b2, b1, ..., b1 with interfaces at 0, x2, 1, 1+x2,
+    ..., k-1, k-1+x2.  ``peak`` is the largest magnitude of any intermediate.
+    The magnitudes grow like (b1+b2)^(2k): raises OverflowError past 1e300.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    b1, b2, x2 = cell.b1, cell.b2, cell.x2
+    det = (b1 + b2) * np.ones_like(lam)
+    comp = (b2 - b1) * np.ones_like(lam)
+    peak = float(np.max(np.abs(det)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(3, 2 * k + 2):
+            b_new, b_prev = (b1, b2) if n % 2 == 1 else (b2, b1)
+            m = n - 1  # the interface between the layers n - 1 and n
+            x_prev = m // 2 - 1 + x2 if m % 2 == 0 else (m - 1) // 2
+            e_new = np.exp(1j * lam * b_new * x_prev)
+            e_prev = np.exp(1j * lam * b_prev * x_prev)
+            diff, total = b_prev - b_new, b_prev + b_new
+            det, comp = (e_new * (diff * e_prev * comp - total * det / e_prev),
+                         (diff * det / e_prev - total * e_prev * comp) / e_new)
+            top = max(float(np.max(np.abs(det))), float(np.max(np.abs(comp))))
+            if not math.isfinite(top) or top > 1e300:
+                raise OverflowError(f"interface chain overflowed at step n={n}")
+            peak = max(peak, top)
+    if lam.ndim == 0:
+        return ChainDeterminants(complex(det), complex(comp), peak)
+    return ChainDeterminants(det, comp, peak)
+
+
 def chain_reflection(cell: UnitCell, lam, k: int):
-    """Slab reflection from the interface-chain determinants, a route that
+    """Slab reflection from the interface-chain recurrence, a route that
     shares no code with ``reflection_k``'s kernel:
     r = -exp(2i lam b1 (k - (1 - x2))) * companion / value.  Overflows from
-    k of about 68, like the chain itself.
+    k of about 68, like the recurrence itself.
     """
-    dets = chain_determinants(cell, lam, k)
+    dets = chain_recurrence(cell, lam, k)
     phase = np.exp(2j * np.asarray(lam) * cell.b1 * (k - (1.0 - cell.x2)))
     return -phase * dets.companion / dets.value
 
@@ -102,7 +134,9 @@ def chain_reflection(cell: UnitCell, lam, k: int):
 def den_winding(cell: UnitCell, k: int, re_lo: float, re_hi: float, im_lo: float,
                 im_hi: float, n: int = 1 << 14) -> int:
     """Zeros of the slab denominator U_{k-1}(F) S - 2 U_{k-2}(F) inside the
-    rectangle, from its phase winding on a uniform contour of n points per side.
+    rectangle, from its phase winding on a contour of n points per side, with
+    the steps whose phase increment reaches pi/2 halved until none does (the
+    shallow roots at large k sit within 1e-5 of the top side).
 
     Independent of the package's counting and kernel code: U_j comes from
     the plain three-term recurrence, rescaled by a positive factor per step,
@@ -110,24 +144,34 @@ def den_winding(cell: UnitCell, k: int, re_lo: float, re_hi: float, im_lo: float
     S = ((b1 + b2)^2 e^{-i lam tau} - (b2 - b1)^2 e^{i lam skew}) / (2 b1 b2).
     Both stay accurate deep in the lower half plane, where |F| is large and
     the one-cell monodromy entries grow like e^{|Im lam| tau}.  Asserts that
-    every step is unambiguous.
+    every step is unambiguous after at most 30 halvings.
     """
+    b1, b2 = cell.b1, cell.b2
+
+    def den(z):
+        s = ((b1 + b2) ** 2 * np.exp(-1j * z * cell.transit_time)
+             - (b2 - b1) ** 2 * np.exp(1j * z * cell.transit_skew)) / (2.0 * b1 * b2)
+        two_f = 2.0 * lyapunov(cell, z)
+        v, u = np.zeros_like(z), np.ones_like(z)  # U_{-1}, U_0
+        for _ in range(k - 1):
+            v, u = u, two_f * u - v
+            scale = np.abs(u)
+            v, u = v / scale, u / scale
+        return u * s - 2.0 * v
+
     z = np.concatenate([np.linspace(re_lo, re_hi, n, endpoint=False) + 1j * im_lo,
                         re_hi + 1j * np.linspace(im_lo, im_hi, n, endpoint=False),
                         np.linspace(re_hi, re_lo, n, endpoint=False) + 1j * im_hi,
                         re_lo + 1j * np.linspace(im_hi, im_lo, n, endpoint=False),
                         [re_lo + 1j * im_lo]])
-    b1, b2 = cell.b1, cell.b2
-    s = ((b1 + b2) ** 2 * np.exp(-1j * z * cell.transit_time)
-         - (b2 - b1) ** 2 * np.exp(1j * z * cell.transit_skew)) / (2.0 * b1 * b2)
-    two_f = 2.0 * lyapunov(cell, z)
-    v, u = np.zeros_like(z), np.ones_like(z)  # U_{-1}, U_0
-    for _ in range(k - 1):
-        v, u = u, two_f * u - v
-        scale = np.abs(u)
-        v, u = v / scale, u / scale
-    den = u * s - 2.0 * v
-    steps = np.angle(den[1:] / den[:-1])
+    vals = den(z)
+    for _ in range(30):
+        steps = np.angle(vals[1:] / vals[:-1])
+        coarse = np.flatnonzero(np.abs(steps) >= 0.5 * math.pi)
+        if coarse.size == 0:
+            break
+        mid = 0.5 * (z[coarse] + z[coarse + 1])
+        z, vals = np.insert(z, coarse + 1, mid), np.insert(vals, coarse + 1, den(mid))
     assert np.max(np.abs(steps)) < 0.5 * math.pi, "reference contour too coarse"
     total = float(np.sum(steps)) / (2.0 * math.pi)
     assert abs(total - round(total)) < 1e-6

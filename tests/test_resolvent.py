@@ -1,7 +1,11 @@
 import cmath
 import collections
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +17,11 @@ from stepslab import (ContourThroughZeroError, DeterminantOverflowError,
                       count_zeros_rectangle, default_im_floor, find_bands,
                       find_resonances, lyapunov, q_recursion,
                       reflection_via_q, resonances_k1, spectral_period)
+import stepslab
 from stepslab import resolvent
 
-from conftest import DEEP, DEPTH_A1, EDGE_A3, chain_reflection, den_winding
+from conftest import (DEEP, DEPTH_A1, EDGE_A3, chain_recurrence, chain_reflection,
+                      den_winding)
 
 
 def test_q_base_case(cell_a):
@@ -55,7 +61,7 @@ def test_q_matches_determinant_route(cell_a):
     for k in range(1, 33):
         q2k = q_recursion(cell_a, lam, k)
         q_odd = np.exp(2j * lam * 0.8) * (-d + q2k) / (1.0 - d * q2k)
-        dets = chain_determinants(cell_a, lam, k)
+        dets = chain_recurrence(cell_a, lam, k)
         assert q_odd == pytest.approx(
             np.exp(2j * lam * k) * dets.companion / dets.value, abs=1e-12)
 
@@ -64,17 +70,68 @@ def test_three_step_determinant_closed_form(cell_a):
     b1, b2, x2 = 1.0, 4.0, 0.2
     rng = np.random.default_rng(7)
     for lam in rng.uniform(0.1, 4.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10):
-        det = chain_determinants(cell_a, complex(lam), 1).value
+        det = chain_recurrence(cell_a, complex(lam), 1).value
         expected = np.exp(1j * lam * b1 * x2) * (
             (b2 - b1) ** 2 * np.exp(1j * lam * b2 * x2)
             - (b2 + b1) ** 2 * np.exp(-1j * lam * b2 * x2))
         assert det == pytest.approx(expected, rel=1e-12)
-    assert chain_determinants(cell_a, 0.0, 1).value == pytest.approx(-4.0 * b1 * b2)
+    assert chain_recurrence(cell_a, 0.0, 1).value == pytest.approx(-4.0 * b1 * b2)
 
 
 def test_determinant_overflow_guard(cell_a):
     with pytest.raises(DeterminantOverflowError):
         chain_determinants(cell_a, -10.0j, 200)
+
+
+def test_chain_determinants_match_recurrence(cell_a, cell_b, cell_c):
+    # the kernel's closed form against the interface recurrence, both half
+    # planes, relative to the largest magnitude in each batch (the recurrence's
+    # own rounding grows with its 2k steps: up to 3e-12 pointwise against a
+    # 40-digit recurrence at k = 64)
+    rng = np.random.default_rng(23)
+    cells = [cell_a, cell_b, cell_c] + [UnitCell(*rng.uniform(0.5, 4.0, 2), rng.uniform(0.1, 0.9))
+                                        for _ in range(3)]
+    for cell in cells:
+        for k in (1, 2, 3, 7, 20, 40, 64):
+            for side in (1.0, -1.0):
+                lams = rng.uniform(0.0, 4.0, 64) + side * 1j * rng.uniform(0.0, 0.5, 64)
+                got, ref = chain_determinants(cell, lams, k), chain_recurrence(cell, lams, k)
+                for a, b in ((got.value, ref.value), (got.companion, ref.companion)):
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (cell, k, side)
+                assert got.peak == max(np.max(np.abs(got.value)), np.max(np.abs(got.companion)))
+
+
+def test_audit_at_k96_matches_denominator_winding(cell_a, cell_b, cell_c):
+    # past the old chain's overflow at k = 69: band 1 counts 99 on A and 98 on B
+    for cell, count in ((cell_a, 99), (cell_b, 98)):
+        band = find_bands(cell, 4.0)[0]
+        rect = (band.lo - 0.05, band.hi + 0.05, default_im_floor(cell), -1e-9)
+        assert audit_count(cell, 96, band) == den_winding(cell, 96, *rect) == count
+    # on C the floor is deep enough that e^{|Im lam| b1 k} still overflows
+    with pytest.raises(DeterminantOverflowError):
+        audit_count(cell_c, 96, find_bands(cell_c, 4.0)[0])
+
+
+def test_overflow_traceback_holds_no_samples(cell_c):
+    # a caller that keeps the error must not keep the contour samples with it
+    band = find_bands(cell_c, 4.0)[0]
+    with pytest.raises(DeterminantOverflowError) as err:
+        chain_determinants(cell_c, np.linspace(band.lo, band.hi, 4097)
+                           + 1j * default_im_floor(cell_c), 96)
+    tb = err.value.__traceback__
+    while tb is not None:
+        for name, val in tb.tb_frame.f_locals.items():
+            assert not (isinstance(val, np.ndarray) and val.size > 1000), name
+        tb = tb.tb_next
+
+
+def test_find_resonances_imports_no_masked_arrays():
+    # numpy.ma costs about 1.2 MB when first imported
+    code = ("import sys; from stepslab import UnitCell, Window, find_resonances; "
+            "find_resonances(UnitCell(1.0, 4.0, 0.2), 10, Window(0.0, 4.0, -1.25)); "
+            "sys.exit('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(stepslab.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_recursion_pole_reports_index(cell_a):
@@ -184,7 +241,7 @@ def test_resonance_set_conjugate_symmetric(cell_a):
 def test_pole_zero_duality(cell_a):
     for k in (2, 3):
         for r in find_resonances(cell_a, k, Window(0.0, 4.0, -1.25)):
-            dets = chain_determinants(cell_a, r.lam, k)
+            dets = chain_recurrence(cell_a, r.lam, k)
             assert abs(dets.value) <= 1e-8 * dets.peak
 
 
