@@ -66,10 +66,10 @@ _DEFAULTS = {"k": 1, "lambda_max": 4.0, "re_min": 0.0, "grid_re": 200, "format":
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, an optional JSON config file, and explicit flags.
 
-    Flags win over file values; file values win over defaults.  The file
-    may set exactly the flags of the subcommand, each value typed as its
-    flag would type it, and only the settings the subcommand reads are
-    validated.
+    Flags win over file values; file values win over defaults, and a null
+    file value leaves the default.  The file may set exactly the flags of
+    the subcommand, each value typed as its flag would type it, and only
+    the settings the subcommand reads are validated.
     """
     keys = set(vars(args)) - {"command", "config"}
     cfg = {key: _DEFAULTS.get(key) for key in keys}
@@ -79,7 +79,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         unread = set(loaded) - keys
         if unread:
             raise ValueError(f"config keys that {args.command} does not read: {sorted(unread)}")
-        cfg.update((key, _typed(key, val)) for key, val in loaded.items())
+        cfg.update((key, _typed(key, val)) for key, val in loaded.items() if val is not None)
     cfg.update((key, val) for key, val in vars(args).items() if key in keys and val is not None)
     for name in ("b1", "b2", "x2"):
         if cfg[name] is None:
@@ -104,9 +104,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _typed(key: str, value):
     """A config file value as its flag would take it: the flag's type applied
     to the value's text (a JSON list for ``k_list`` joined by commas) and its
-    choices checked.  null passes through as None."""
-    if value is None:
-        return None
+    choices checked."""
     if key == "k_list" and isinstance(value, list):
         value = ",".join(map(str, value))
     spec = _FLAGS[key]

@@ -33,12 +33,12 @@ class RecursionPoleError(StepslabError, ArithmeticError):
     def __init__(self, lam, index, message=None):
         self.lam = lam
         self.index = index
-        super().__init__(message or f"recursion denominator vanished at step m={index}, lambda={lam}")
+        super().__init__(message or f"recursion denominator vanished at lambda={lam}")
 
 
 class DeterminantOverflowError(StepslabError, OverflowError):
     """The interface-chain determinant exceeded the floating-point range;
-    use the bounded recursion route instead."""
+    count the resonances with ``find_resonances`` instead."""
 
 
 class NotCommensurateError(StepslabError, ValueError):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (EdgeDegeneracyError, HomogeneousCellError,
                      NotCommensurateError)
 from .medium import UnitCell, is_commensurate
-from .monodromy import Regime, _arith, _regime, chebyshev_pair
+from .monodromy import Regime, _arith, _band_offset, _regime, chebyshev_pair
 
 #: |eta - 1| below this marks the map as the identity (at a degenerate edge).
 _ETA_TOL = 1e-12
@@ -118,9 +118,9 @@ def fixed_points(cell: UnitCell, lam: float) -> FixedPointAnalysis:
     """Solve apply(z) = z in closed form and classify the map.
 
     z = (cos(phi) +- sqrt(cos^2(phi) - d^2)) * exp(-i phi) / d with
-    phi = lam b2 x2; z1 is the root of smaller modulus (larger real part
-    on ties).  Elliptic roots satisfy |z1| < 1 < |z2| and
-    z1 * conj(z2) = 1; hyperbolic and parabolic roots are unimodular.
+    phi = lam b2 x2.  Elliptic roots satisfy |z1| < 1 < |z2| and
+    z1 * conj(z2) = 1; hyperbolic and parabolic roots are unimodular, and
+    z1 is the one of larger real part.
     The kind is the regime of ``monodromy._regime`` (the half trace is F);
     a degenerate edge raises EdgeDegeneracyError.
     """
@@ -130,7 +130,7 @@ def fixed_points(cell: UnitCell, lam: float) -> FixedPointAnalysis:
     if cell.contrast == 0.0:
         raise HomogeneousCellError("the one-cell map of a homogeneous cell is a pure rotation")
     lam = float(lam)
-    kind = _KIND.get(_regime(cell, lam)[0])
+    kind = _KIND.get(_regime(cell, *_band_offset(cell, lam, slope=True)[1:]))
     if kind is None:
         raise EdgeDegeneracyError(f"fixed points indeterminate at the degenerate edge {lam}")
     d = cell.contrast
@@ -139,7 +139,8 @@ def fixed_points(cell: UnitCell, lam: float) -> FixedPointAnalysis:
     disc = c * c - d * d
     root = cmath.sqrt(complex(disc))
     rot = cmath.exp(-1j * phi) / d
-    z1, z2 = sorted(((c + root) * rot, (c - root) * rot), key=lambda z: (abs(z), -z.real))
+    key = abs if kind is FixedPointKind.ELLIPTIC else (lambda z: -z.real)
+    z1, z2 = sorted(((c + root) * rot, (c - root) * rot), key=key)
     return FixedPointAnalysis(z1, z2, kind, disc)
 
 
@@ -155,8 +156,8 @@ def iterate_limit(cell: UnitCell, lam: float, z0: complex,
     """Iterate the one-cell map max_iter = N times from z0 and report the limit.
 
     z_{N-1} and z_N come from the powers W^n = U_{n-1} W - U_{n-2} I of the
-    map's matrix, with U's argument (sign, g) and the kind from one
-    ``monodromy._regime`` call, so nothing cancels near the edges;
+    map's matrix, with U's argument (sign, g) and the kind (``monodromy._regime``)
+    from one ``monodromy._band_offset`` call, so nothing cancels near the edges;
     |z_N - z_{N-1}| < 1e-10 counts as converged.  Hyperbolic and parabolic
     frequencies converge to a unimodular fixed point (the half-infinite
     reflection coefficient); elliptic frequencies keep rotating and are
@@ -169,8 +170,8 @@ def iterate_limit(cell: UnitCell, lam: float, z0: complex,
     fmap = mobius_map(cell, lam)
     if abs(fmap.eta - 1.0) < _ETA_TOL:
         return IterateResult(True, complex(z0), None)
-    regime, sign, g, _ = _regime(cell, lam)
-    kind = None if cell.contrast == 0.0 else _KIND.get(regime)
+    sign, g, dg = _band_offset(cell, lam, slope=True)
+    kind = None if cell.contrast == 0.0 else _KIND.get(_regime(cell, g, dg))
     a, b, c, e = fmap.w
     f = sign * (1.0 + g)
     u, v, _ = chebyshev_pair(sign, g, max_iter)

@@ -20,7 +20,7 @@ from .errors import InvalidRangeError
 from .medium import UnitCell
 
 #: |F'| below this at a point with |F| = 1 marks a degenerate edge
-#: (two bands touching); the curvature must then be above it.
+#: (two bands touching).
 EDGE_DERIVATIVE_TOL = 1e-8
 
 #: Bisection tolerance for band edge locations (absolute, in lambda); a real
@@ -283,57 +283,54 @@ def transfer_power(cell: UnitCell, lam, k: int) -> MonodromyMatrix:
     return MonodromyMatrix(*entries)
 
 
-def _edge_rule(cell: UnitCell, lam):
-    """(edge, degenerate, sign, g, g') at real frequencies: the one band, gap and edge rule,
-    on (sign, g = |F| - 1, g') from ``_band_offset``.  An edge has |g| <= tol |g'|
+def _edge_rule(cell: UnitCell, g, dg):
+    """(edge, degenerate) at real frequencies: the one band, gap and edge rule, on
+    g = |F| - 1 and g' from ``_band_offset``.  An edge has |g| <= tol |g'|
     (tol = _EDGE_LOCATION_TOL) or g zero to its rounding, 4 eps (rho + 1); a degenerate
     edge has |g'| < EDGE_DERIVATIVE_TOL and |g| <= tol.  Elsewhere g < 0 is a band."""
-    sign, g, dg = _band_offset(cell, lam, slope=True)
     degenerate = (abs(dg) < EDGE_DERIVATIVE_TOL) & (abs(g) <= _EDGE_LOCATION_TOL)
     rounding = 4.0 * math.ulp(1.0) * (cell.mismatch + 1.0)
-    edge = degenerate | (abs(g) <= _EDGE_LOCATION_TOL * abs(dg) + rounding)
-    return edge, degenerate, sign, g, dg
+    return degenerate | (abs(g) <= _EDGE_LOCATION_TOL * abs(dg) + rounding), degenerate
 
 
-def _regime(cell: UnitCell, lam: float):
-    """(regime, sign, g, g') at one real frequency, by ``_edge_rule``."""
-    edge, degenerate, *offset = _edge_rule(cell, lam)
-    sign, g, dg = map(float, offset)
+def _regime(cell: UnitCell, g: float, dg: float) -> Regime:
+    """The regime at one real frequency from (g, g') by ``_edge_rule``."""
+    edge, degenerate = _edge_rule(cell, g, dg)
     if edge:
-        return (Regime.DEGENERATE_EDGE if degenerate else Regime.NONDEGENERATE_EDGE), sign, g, dg
-    return (Regime.BAND if g < 0.0 else Regime.GAP), sign, g, dg
+        return Regime.DEGENERATE_EDGE if degenerate else Regime.NONDEGENERATE_EDGE
+    return Regime.BAND if g < 0.0 else Regime.GAP
+
+
+def _multiplier(cell: UnitCell, lam, lib, half):
+    """(mu_plus, regime) at one frequency from ``_half_angles``'s (lam, lib, half), with
+    mu = sign (1 + g +- sqrt(g (g + 2))) on the band offset, so nothing cancels near F = +-1.
+    Real lam: ``_regime``, then F - i sgn(F') sqrt(1 - F^2) on a band, the root inside the
+    disk on a gap, sign on an edge.  Complex lam: regime None and the root of smaller
+    modulus above the axis, of larger modulus below (the continuation across the bands)."""
+    sign, g, dg = _offset(cell, lib, half, slope=True)
+    if lib is cmath:
+        root = cmath.sqrt(g * (g + 2.0))
+        big = sign * max(1.0 + g + root, 1.0 + g - root, key=abs)
+        return (1.0 / big if lam.imag > 0.0 else big), None
+    regime = _regime(cell, g, dg)
+    if regime is Regime.BAND:
+        root = math.copysign(math.sqrt(-g * (g + 2.0)), dg)
+        return complex(sign * (1.0 + g), -sign * root), regime
+    if regime is Regime.GAP:
+        return 1.0 / complex(sign * (1.0 + g + math.sqrt(g * (g + 2.0)))), regime
+    return complex(sign), regime
 
 
 def bloch(cell: UnitCell, lam) -> BlochData:
     """Multipliers, Weyl functions and spectral regime at one frequency.
 
-    The multipliers solve mu^2 - 2 F mu + 1 = 0; mu_minus is returned as
-    1/mu_plus so the product is exactly 1.  At real frequencies ``_regime``
-    gives the regime, F^2 - 1 = g (g + 2) and, on a band, the sign of F' in the
-    upper-half-plane limit F - i sgn(F') sqrt(1 - F^2); on an edge mu = sign F.
-    The regime is None at complex frequencies.
+    mu_plus and the regime come from ``_multiplier`` (the regime is None at complex
+    frequencies); mu_minus is returned as 1/mu_plus so the product is exactly 1.
     """
     lam = complex(lam)
     m = monodromy(cell, lam)
-    fc = complex(0.5 * (m.alpha + m.delta))
-    regime = None
-
-    if lam.imag != 0.0:
-        root = cmath.sqrt(fc * fc - 1.0)
-        big = max(fc + root, fc - root, key=abs)
-        # below the axis, the analytic continuation across the bands: Im(theta) < 0
-        mu_plus, mu_minus = (1.0 / big, big) if lam.imag > 0.0 else (big, 1.0 / big)
-    else:
-        regime, sign, g, dg = _regime(cell, lam.real)
-        if regime is Regime.BAND:
-            root = math.copysign(math.sqrt(-g * (g + 2.0)), dg)
-            mu_plus = complex(sign * (1.0 + g), -sign * root)
-            mu_minus = 1.0 / mu_plus
-        elif regime is Regime.GAP:
-            mu_minus = complex(sign * (1.0 + g + math.sqrt(g * (g + 2.0))))
-            mu_plus = 1.0 / mu_minus
-        else:
-            mu_plus = mu_minus = complex(sign)
+    mu_plus, regime = _multiplier(cell, *_half_angles(cell, lam.real if lam.imag == 0.0 else lam))
+    mu_minus = 1.0 / mu_plus
 
     beta, gamma = complex(m.beta), complex(m.gamma)
     if abs(beta) > 1e-12:
@@ -346,7 +343,8 @@ def bloch(cell: UnitCell, lam) -> BlochData:
         # propagator is +-identity: eigenvectors degenerate, Weyl data undefined
         m_plus = m_minus = None
 
-    return BlochData(fc, mu_plus, mu_minus, m_plus, m_minus, regime)
+    return BlochData(complex(0.5 * (m.alpha + m.delta)), mu_plus, mu_minus, m_plus, m_minus,
+                     regime)
 
 
 def _bisect(fn, a, b, tol: float):
@@ -404,7 +402,8 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     # sign test may have stepped over
     i = np.flatnonzero(dfs[:-1] * dfs[1:] < 0.0)
     lam_c = _bisect(lambda x: lyapunov_derivative(cell, x), xs[i], xs[i + 1], tol)
-    _, touch, sign_c, g_c, _ = _edge_rule(cell, lam_c)
+    sign_c, g_c, dg_c = _band_offset(cell, lam_c, slope=True)
+    touch = _edge_rule(cell, g_c, dg_c)[1]
     edges.append(lam_c[touch])
     # an extremum that pokes past +-1 between grid points: two crossings
     poke = ~touch & (g_c > 0.0)
@@ -424,8 +423,9 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     boundaries = [0.0] + deduped + [lambda_max]
     f_mid = lyapunov(cell, 0.5 * (np.array(boundaries[:-1]) + boundaries[1:]))
     # None where the rule finds no edge: a band clipped by the scan limit
+    _, g_b, dg_b = _band_offset(cell, np.array(boundaries), slope=True)
     types = [EdgeType.DEGENERATE if deg else EdgeType.NONDEGENERATE if edge else None
-             for edge, deg in zip(*_edge_rule(cell, np.array(boundaries))[:2])]
+             for edge, deg in zip(*_edge_rule(cell, g_b, dg_b))]
     bands: list[Band] = []
     for i, (a, b, f) in enumerate(zip(boundaries[:-1], boundaries[1:], f_mid)):
         if b - a <= 1e-9 or abs(f) >= 1.0:

@@ -136,7 +136,7 @@ def chain_determinants(cell: UnitCell, lam, k: int) -> ChainDeterminants:
     if not math.isfinite(peak) or peak > 1e300:
         del lam, value, companion  # the error's traceback keeps this frame alive
         raise DeterminantOverflowError(
-            f"chain determinant of {k} cells overflows (peak {peak}); use the recursion route")
+            f"chain determinant of {k} cells overflows (peak {peak}); use find_resonances")
     if lam.ndim == 0:
         return ChainDeterminants(complex(value), complex(companion), peak)
     return ChainDeterminants(value, companion, peak)

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (BandMismatchError, BoundaryValueWarning,
                      EdgeDegeneracyError, PoleProximityError)
 from .medium import UnitCell, transparency_frequencies
-from .monodromy import (Band, Regime, _arith, _bisect, _cell_count, _half_angles, _offset,
-                        bloch, chebyshev_pair, lyapunov)
+from .monodromy import (Band, Regime, _arith, _bisect, _cell_count, _half_angles, _multiplier,
+                        _offset, chebyshev_pair, lyapunov)
 
 #: Denominator-to-numerator ratio below which a quotient is treated as a
 #: pole hit (below double-precision meaningfulness).
@@ -156,20 +156,21 @@ def perfect_transmission_frequencies(cell: UnitCell, band: Band, k: int) -> list
 def reflection_half_infinite(cell: UnitCell, lam):
     """Reflection coefficient of the half-infinite periodic medium.
 
-    r = N / (S - 2 mu_plus), the limit of r_k = N / (S - 2 U_{k-2}/U_{k-1})
-    with the selected multiplier mu_plus.  On gaps |r| = 1.  At real
-    frequencies strictly inside a band the upper-boundary limit is
-    returned and a BoundaryValueWarning is issued, since the finite-slab
+    r = N / (S - 2 mu_plus), the limit of r_k = N / (S - 2 U_{k-2}/U_{k-1}),
+    with mu_plus (``_multiplier``) and S, N from one set of half angles.  On
+    gaps |r| = 1.  At real frequencies strictly inside a band the upper-boundary
+    limit is returned and a BoundaryValueWarning is issued, since the finite-slab
     coefficients converge to it only in an averaged sense there.
     """
     lam = complex(lam)
-    bd = bloch(cell, lam)
-    if bd.regime is Regime.DEGENERATE_EDGE:
+    at, lib, half = _half_angles(cell, lam.real if lam.imag == 0.0 else lam)
+    mu_plus, regime = _multiplier(cell, at, lib, half)
+    if regime is Regime.DEGENERATE_EDGE:
         raise EdgeDegeneracyError(f"reflection limit indeterminate at degenerate edge {lam}")
-    s, n = _closed_s_n(cell, *_half_angles(cell, lam))
-    value = _quotient(n, s - 2.0 * bd.mu_plus, lambda: EdgeDegeneracyError(
+    s, n = _closed_s_n(cell, at, lib, half)
+    value = _quotient(n, s - 2.0 * mu_plus, lambda: EdgeDegeneracyError(
         f"reflection limit indeterminate at {lam}"))
-    if bd.regime is Regime.BAND:
+    if regime is Regime.BAND:
         warnings.warn("in-band value is the upper-half-plane boundary limit",
                       BoundaryValueWarning, stacklevel=2)
     return value

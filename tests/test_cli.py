@@ -159,6 +159,16 @@ def test_fixed_points_kind_flips_at_band_edges(capsys):
         assert min(abs(lam - e) for e in edges) <= spacing
 
 
+def test_fixed_points_degenerate_edge_rows(capsys):
+    # the grid hits both touching points of cell A, pi/0.8 and 2 pi/0.8
+    code, out, _ = _run(capsys, ["fixed-points", *CELL_A, "--lambda-max", repr(2.0 * EDGE_A3),
+                                 "--grid-re", "2"])
+    assert code == 0
+    header, rows = _rows(out)
+    assert [r["kind"] for r in rows] == ["degenerate_edge"] * 2
+    assert all(r[col] == "" for r in rows for col in header[2:])
+
+
 def test_fixed_points_limits_on_gaps(capsys):
     code, out, _ = _run(capsys, ["fixed-points", *CELL_A, "--lambda-max", "2.6",
                                  "--grid-re", "26"])
@@ -304,12 +314,24 @@ def test_config_key_not_read_exits_2(tmp_path, capsys):
 
 
 def test_config_value_takes_its_flags_type(tmp_path, capsys):
-    # --grid-re 2.5 is a usage error, so the same value from a file is one too
+    # --grid-re 2.5 and --format xml are usage errors, so the same values from a file are too
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"b1": 1.0, "b2": 4.0, "x2": 0.2, "grid_re": 2.5}))
-    code, out, err = _run(capsys, ["transmission", "--config", str(cfg)])
-    assert (code, out) == (2, "")
-    assert "grid_re" in err
+    for key, value in (("grid_re", 2.5), ("format", "xml")):
+        cfg.write_text(json.dumps({"b1": 1.0, "b2": 4.0, "x2": 0.2, key: value}))
+        code, out, err = _run(capsys, ["transmission", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert key in err
+
+
+@pytest.mark.parametrize("command, key", [("transmission", "k"), ("transmission", "grid_re"),
+                                          ("bands", "lambda_max"), ("converge", "band_index")])
+def test_config_null_takes_the_default(tmp_path, capsys, command, key):
+    extra = ["--k-list", "2"] if command == "converge" else []
+    code, want, _ = _run(capsys, [command, *CELL_A, *extra])
+    assert code == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"b1": 1.0, "b2": 4.0, "x2": 0.2, key: None}))
+    assert _run(capsys, [command, "--config", str(cfg), *extra]) == (0, want, "")
 
 
 def test_config_k_list_runs_as_the_flag(tmp_path, capsys):
@@ -323,7 +345,8 @@ def test_config_k_list_runs_as_the_flag(tmp_path, capsys):
 
 def test_usage_errors_return_2_without_raising(capsys):
     for argv in (["bands", *CELL_A, "--bogus", "1"], [], ["nope"],
-                 ["bands", *CELL_A, "--lambda-max", "x"], ["bands", *CELL_A, "--lambda"]):
+                 ["bands", *CELL_A, "--lambda-max", "x"], ["bands", *CELL_A, "--lambda"],
+                 ["converge", *CELL_A, "--k-list", "4,x"]):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert "usage" in err
@@ -336,7 +359,8 @@ def test_invalid_settings_exit_2_and_preconditions_exit_3(capsys):
                  ["fixed-points", *CELL_A, "--grid-re", "1"],
                  ["transmission", *CELL_A, "--k", "0"],
                  ["resonances", *CELL_A, "--k", "0"],
-                 ["resonances", *CELL_A, "--re-min", "3", "--re-max", "2"]):
+                 ["resonances", *CELL_A, "--re-min", "3", "--re-max", "2"],
+                 ["converge", *CELL_A, "--k-list", "4", "--band-index", "9"]):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.strip()

@@ -109,6 +109,14 @@ def test_fixed_points_hyperbolic_mid_gap(cell_a):
         assert min(abs(z - w) for w in expected) <= 1e-10
 
 
+def test_fixed_points_hyperbolic_order_by_real_part(cell_a):
+    # both roots are unimodular on a gap, so z1 is the one of larger real part
+    for lam in np.linspace(1.17, 2.75, 400):
+        fp = fixed_points(cell_a, lam)
+        assert fp.kind is FixedPointKind.HYPERBOLIC
+        assert fp.z1.real >= fp.z2.real, lam
+
+
 def test_fixed_points_parabolic_at_edge(cell_a):
     fp = fixed_points(cell_a, EDGE_A1)
     assert fp.kind is FixedPointKind.PARABOLIC

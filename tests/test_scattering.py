@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from stepslab import (Band, BandMismatchError, BoundaryValueWarning, EdgeType,
-                      EdgeDegeneracyError, PoleProximityError, UnitCell,
+                      EdgeDegeneracyError, PoleProximityError, UnitCell, bloch,
                       find_bands, perfect_transmission_frequencies,
                       reflection_half_infinite, reflection_k, resonances_k1,
                       transmission_sq, transparency_frequencies)
@@ -98,6 +99,9 @@ def test_perfect_transmission_validates_band(cell_a):
     with pytest.raises(BandMismatchError, match="edges"):
         perfect_transmission_frequencies(
             cell_a, Band(1.3, 2.0, EdgeType.NONDEGENERATE, EdgeType.NONDEGENERATE, 1), 3)
+    with pytest.raises(BandMismatchError, match="ill ordered"):
+        perfect_transmission_frequencies(
+            cell_a, Band(2.0, 1.3, EdgeType.NONDEGENERATE, EdgeType.NONDEGENERATE, 1), 3)
     clipped = find_bands(cell_a, 4.0)[2]
     with pytest.raises(BandMismatchError):
         perfect_transmission_frequencies(cell_a, clipped, 3)
@@ -145,6 +149,36 @@ def test_half_infinite_band_interior_warns(cell_a):
 def test_half_infinite_degenerate_edge_raises(cell_a):
     with pytest.raises(EdgeDegeneracyError):
         reflection_half_infinite(cell_a, EDGE_A3)
+
+
+def test_half_infinite_near_band_edges_matches_extended_precision(cell_a, cell_b, cell_c):
+    # lam = e +- i delta at every band edge e < 8: mu_plus and r = N/(S - 2 mu_plus)
+    # against 60-digit mpmath from F = ((rho+1) cos(lam tau) - (rho-1) cos(lam skew))/2,
+    # mu = F -+ sqrt(F^2 - 1) (smaller modulus above the axis, larger below) and the
+    # closed-form S, N.  r is conditioned like 1/delta at an edge; the touching points
+    # of cell_a (degenerate edges, pi/0.8 and 2 pi/0.8) have no such loss in mu_plus
+    mp = pytest.importorskip("mpmath")
+    for cell in (cell_a, cell_b, cell_c):
+        edges = {e: t for b in find_bands(cell, 8.0)
+                 for e, t in ((b.lo, b.lo_type), (b.hi, b.hi_type)) if 0.0 < e < 8.0}
+        for (edge, edge_type), delta, side in itertools.product(
+                edges.items(), (1e-3, 1e-6, 1e-9), (1.0, -1.0)):
+            lam = complex(edge, side * delta)
+            with mp.workdps(60):
+                b1, b2, x2, z = mp.mpf(cell.b1), mp.mpf(cell.b2), mp.mpf(cell.x2), mp.mpc(lam)
+                tau, skew = x2 * b2 + (1 - x2) * b1, x2 * b2 - (1 - x2) * b1
+                rho = (b1 * b1 + b2 * b2) / (2 * b1 * b2)
+                f = ((rho + 1) * mp.cos(z * tau) - (rho - 1) * mp.cos(z * skew)) / 2
+                small, big = sorted((f + mp.sqrt(f * f - 1), f - mp.sqrt(f * f - 1)), key=abs)
+                mu = small if side > 0.0 else big
+                fwd, back = mp.exp(-1j * z * tau), mp.exp(1j * z * skew)
+                s = ((b1 + b2) ** 2 * fwd - (b2 - b1) ** 2 * back) / (2 * b1 * b2)
+                n = (b2 * b2 - b1 * b1) * (fwd - back) / (2 * b1 * b2)
+                mu, r = complex(mu), complex(n / (s - 2 * mu))
+            tol = 1e-13 if edge_type is EdgeType.DEGENERATE else 1e-10
+            assert abs(bloch(cell, lam).mu_plus - mu) <= tol * abs(mu), (cell, lam)
+            got = reflection_half_infinite(cell, lam)
+            assert abs(got - r) <= 1e-12 / delta * abs(r), (cell, lam)
 
 
 def test_half_infinite_homogeneous(uniform):
