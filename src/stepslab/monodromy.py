@@ -129,18 +129,7 @@ def monodromy(cell: UnitCell, lam) -> MonodromyMatrix:
 
     Entries are real for real lam.  det = 1 identically.
     """
-    lam, lib = _arith(lam)
-    b1, b2 = cell.b1, cell.b2
-    arg_sum = lam * cell.transit_time
-    arg_diff = lam * (b1 * (1.0 - cell.x2) - b2 * cell.x2)
-    cs, cd = lib.cos(arg_sum), lib.cos(arg_diff)
-    ss, sd = lib.sin(arg_sum), lib.sin(arg_diff)
-    p, m = b2 + b1, b2 - b1
-    alpha = (p * cs + m * cd) / (2.0 * b2)
-    beta = (p * ss - m * sd) / 2.0
-    gamma = -(p * ss + m * sd) / (2.0 * b1 * b2)
-    delta = (p * cs - m * cd) / (2.0 * b1)
-    return MonodromyMatrix(alpha, beta, gamma, delta)
+    return MonodromyMatrix(*_entries(cell, _half_angles(cell, lam)[2]))
 
 
 def lyapunov(cell: UnitCell, lam):
@@ -176,6 +165,17 @@ def _half_angles(cell: UnitCell, lam):
     lam, lib = _arith(lam)
     a, b = 0.5 * lam * cell.transit_time, 0.5 * lam * cell.transit_skew
     return lam, lib, (lib.sin(a), lib.cos(a), lib.sin(b), lib.cos(b))
+
+
+def _entries(cell: UnitCell, half):
+    """(alpha, beta, gamma, delta) of the one-cell propagator from ``_half_angles``'s half,
+    the full angles lam tau = 2a and lam skew = 2b by cos 2x = c^2 - s^2, sin 2x = 2 s c."""
+    sa, ca, sb, cb = half
+    b1, b2 = cell.b1, cell.b2
+    cs, ss, cd, sd = ca * ca - sa * sa, 2.0 * sa * ca, cb * cb - sb * sb, 2.0 * sb * cb
+    p, m = b2 + b1, b2 - b1
+    return ((p * cs + m * cd) / (2.0 * b2), (p * ss + m * sd) / 2.0,
+            -(p * ss - m * sd) / (2.0 * b1 * b2), (p * cs - m * cd) / (2.0 * b1))
 
 
 def _band_offset(cell: UnitCell, lam, slope: bool = False):
@@ -273,9 +273,10 @@ def transfer_power(cell: UnitCell, lam, k: int) -> MonodromyMatrix:
     of an entry beyond the floating-point range comes out infinite, never NaN,
     and without an overflow warning.
     """
-    m = monodromy(cell, lam)
-    u, v, e = chebyshev_pair(*_band_offset(cell, lam), k)
-    entries = np.array([u * m.alpha - v, u * m.beta, u * m.gamma, u * m.delta - v])
+    _, lib, half = _half_angles(cell, lam)
+    alpha, beta, gamma, delta = _entries(cell, half)
+    u, v, e = chebyshev_pair(*_offset(cell, lib, half), k)
+    entries = np.array([u * alpha - v, u * beta, u * gamma, u * delta - v])
     # 2**e part by part: an infinite real scale times a complex entry is NaN
     with np.errstate(over="ignore"):  # an infinite part is the documented result
         for part in (entries.real, entries.imag) if np.iscomplexobj(entries) else (entries,):
@@ -324,27 +325,27 @@ def _multiplier(cell: UnitCell, lam, lib, half):
 def bloch(cell: UnitCell, lam) -> BlochData:
     """Multipliers, Weyl functions and spectral regime at one frequency.
 
-    mu_plus and the regime come from ``_multiplier`` (the regime is None at complex
-    frequencies); mu_minus is returned as 1/mu_plus so the product is exactly 1.
+    One half-angle evaluation gives the entries (``_entries``) and mu_plus and the regime
+    (``_multiplier``; the regime is None at complex frequencies); mu_minus is returned as
+    1/mu_plus so the product is exactly 1.
     """
     lam = complex(lam)
-    m = monodromy(cell, lam)
-    mu_plus, regime = _multiplier(cell, *_half_angles(cell, lam.real if lam.imag == 0.0 else lam))
+    at, lib, half = _half_angles(cell, lam.real if lam.imag == 0.0 else lam)
+    alpha, beta, gamma, delta = _entries(cell, half)
+    mu_plus, regime = _multiplier(cell, at, lib, half)
     mu_minus = 1.0 / mu_plus
 
-    beta, gamma = complex(m.beta), complex(m.gamma)
     if abs(beta) > 1e-12:
-        m_plus = (mu_plus - complex(m.alpha)) / beta
-        m_minus = (mu_minus - complex(m.alpha)) / beta
+        m_plus = (mu_plus - alpha) / beta
+        m_minus = (mu_minus - alpha) / beta
     elif abs(gamma) > 1e-12:
-        m_plus = gamma / (mu_plus - complex(m.delta))
-        m_minus = gamma / (mu_minus - complex(m.delta))
+        m_plus = gamma / (mu_plus - delta)
+        m_minus = gamma / (mu_minus - delta)
     else:
         # propagator is +-identity: eigenvectors degenerate, Weyl data undefined
         m_plus = m_minus = None
 
-    return BlochData(complex(0.5 * (m.alpha + m.delta)), mu_plus, mu_minus, m_plus, m_minus,
-                     regime)
+    return BlochData(complex(0.5 * (alpha + delta)), mu_plus, mu_minus, m_plus, m_minus, regime)
 
 
 def _bisect(fn, a, b, tol: float):

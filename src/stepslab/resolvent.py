@@ -38,6 +38,9 @@ _IM_CEILING = -1e-12
 
 _NEWTON_MAX_ITER = 50
 
+#: Steps in a row without halving its best |h| that stop a run short of RESIDUAL_TOL.
+_STALL_STEPS = 16
+
 #: A contour count gives up after this many samples (the budget of 2**17
 #: points per side) or when one step has been halved this many times.
 _CONTOUR_MAX_SAMPLES = 4 << 17
@@ -188,19 +191,22 @@ def _resonance_condition(cell: UnitCell, lam, k: int):
 
 
 def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
-    """Vectorized damped-free Newton on den, the entire denominator of r_k.
+    """Vectorized Newton on den, the entire denominator of r_k, with two stops.
 
     Each step takes den/den' and the residual h = d Q - 1 from one kernel
     call (``_resonance_condition``), so the poles of h (the zeros of
     den - d num) do not scatter the runs.  Runs whose step is not finite
-    are dropped.  Converged points receive one extra polishing step,
-    which drives residuals toward machine level.
+    are dropped.  A run stops one polishing step after it meets RESIDUAL_TOL,
+    which drives the residual toward machine level.  Short of it, a run stalls
+    once _STALL_STEPS steps in a row have not brought |h| below half its best
+    so far, and stops there or at _NEWTON_MAX_ITER with its last iterate.
     """
     z = seeds.astype(complex).copy()
     h, step = _resonance_condition(cell, z, k)
     alive = np.isfinite(step)
     iters = np.zeros(z.shape, dtype=int)
     polish = np.zeros(z.shape, dtype=int)
+    best, stall = np.abs(h), np.zeros(z.shape, dtype=int)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
@@ -214,10 +220,14 @@ def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
         step[good] = snew[ok]
         iters[good] = it
         alive[idx[~ok]] = False
-        hit = good[np.abs(hnew[ok]) <= RESIDUAL_TOL]
+        size = np.abs(hnew[ok])
+        hit = good[size <= RESIDUAL_TOL]
         polish[hit] += 1
         # freeze only after one extra step past the tolerance
         alive[hit[polish[hit] >= 2]] = False
+        stall[good] = np.where(size < 0.5 * best[good], 0, stall[good] + 1)
+        best[good] = np.fmin(best[good], size)
+        alive[good[(stall[good] >= _STALL_STEPS) & (polish[good] == 0)]] = False
     resid = np.abs(h)
     resid[~np.isfinite(resid)] = np.inf
     return z, resid, iters
@@ -234,7 +244,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     one-cell depth scale, extended by k-scaled shallow rungs for the
     near-edge roots.  All seeds run Newton together on the entire slab
     denominator den, each step one kernel evaluation of den/den' and of
-    the residual |d Q - 1|.  Converged roots are filtered to the window,
+    the residual |d Q - 1|; a run that stalls (no halving of its best
+    residual in _STALL_STEPS steps) stops early.  Converged roots are filtered to the window,
     required to satisfy the residual tolerance, deduplicated greedily in
     residual order (a root within DEDUP_RADIUS of a kept one is dropped),
     and assigned a band by real-part membership.
@@ -328,25 +339,28 @@ def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
     # integer positions, 2**40 to a start step: a step halved 40 times has length 1
     unit = 1 << _CONTOUR_MAX_HALVINGS
 
-    def values(pos):
-        return chain_determinants(cell, np.interp(pos / (n * unit), np.arange(5), corners),
-                                  k).value
+    def at(pos):  # contour points at integer sample positions
+        return np.interp(pos / (n * unit), np.arange(5), corners)
 
     pos = np.arange(4 * n + 1, dtype=np.int64) * unit
-    vals = values(pos)
-    while True:
-        if np.min(np.abs(vals)) == 0.0:
-            raise ContourThroughZeroError("determinant vanishes on the counting contour")
-        steps = np.angle(vals[1:] / vals[:-1])
-        bad = np.flatnonzero(np.abs(steps) >= 0.5 * math.pi)
-        if bad.size == 0:
-            break
-        if pos.size + bad.size > _CONTOUR_MAX_SAMPLES or np.min(pos[bad + 1] - pos[bad]) < 2:
-            raise ContourThroughZeroError(
-                "phase winding failed to stabilize; a zero lies on or next to the contour")
-        mid = (pos[bad] + pos[bad + 1]) // 2
-        pos = np.insert(pos, bad + 1, mid)
-        vals = np.insert(vals, bad + 1, values(mid))
+    try:
+        vals = chain_determinants(cell, at(pos), k).value
+        while True:
+            if np.min(np.abs(vals)) == 0.0:
+                raise ContourThroughZeroError("determinant vanishes on the counting contour")
+            steps = np.angle(vals[1:] / vals[:-1])
+            bad = np.flatnonzero(np.abs(steps) >= 0.5 * math.pi)
+            if bad.size == 0:
+                break
+            if pos.size + bad.size > _CONTOUR_MAX_SAMPLES or np.min(pos[bad + 1] - pos[bad]) < 2:
+                raise ContourThroughZeroError(
+                    "phase winding failed to stabilize; a zero lies on or next to the contour")
+            mid = (pos[bad] + pos[bad + 1]) // 2
+            pos = np.insert(pos, bad + 1, mid)
+            vals = np.insert(vals, bad + 1, chain_determinants(cell, at(mid), k).value)
+    except DeterminantOverflowError:
+        pos = vals = steps = bad = mid = None  # the error's traceback keeps this frame alive
+        raise
     total = float(np.sum(steps)) / (2.0 * math.pi)
     nearest = round(total)
     if abs(total - nearest) >= 0.01:

@@ -113,16 +113,21 @@ def test_audit_at_k96_matches_denominator_winding(cell_a, cell_b, cell_c):
 
 
 def test_overflow_traceback_holds_no_samples(cell_c):
-    # a caller that keeps the error must not keep the contour samples with it
+    # a caller that keeps the error must not keep the contour samples with it, whether
+    # it calls the determinant itself or raises through the audit's contour (band 1 of C
+    # at k = 96 overflows on its 6145 start samples)
     band = find_bands(cell_c, 4.0)[0]
-    with pytest.raises(DeterminantOverflowError) as err:
-        chain_determinants(cell_c, np.linspace(band.lo, band.hi, 4097)
-                           + 1j * default_im_floor(cell_c), 96)
-    tb = err.value.__traceback__
-    while tb is not None:
-        for name, val in tb.tb_frame.f_locals.items():
-            assert not (isinstance(val, np.ndarray) and val.size > 1000), name
-        tb = tb.tb_next
+    calls = [lambda: chain_determinants(cell_c, np.linspace(band.lo, band.hi, 4097)
+                                        + 1j * default_im_floor(cell_c), 96),
+             lambda: audit_count(cell_c, 96, band)]
+    for call in calls:
+        with pytest.raises(DeterminantOverflowError) as err:
+            call()
+        tb = err.value.__traceback__
+        while tb is not None:
+            for name, val in tb.tb_frame.f_locals.items():
+                assert not (isinstance(val, np.ndarray) and val.size > 1000), name
+            tb = tb.tb_next
 
 
 def test_find_resonances_imports_no_masked_arrays():
@@ -480,3 +485,45 @@ def test_dedup_matches_one_root_loop(cell_b, monkeypatch):
             kept.append(lam)
     assert candidates > 2 * len(kept)
     assert sorted(kept, key=lambda z: (z.real, z.imag)) == got
+
+
+def _stall_stop_agrees(cell, k, monkeypatch):
+    """find_resonances with the stall stop against the same search without it (a window
+    above the iteration cap runs every seed to the cap or the tolerance): equal per-band
+    counts and every root within 1e-12."""
+    window = Window(0.0, 4.0, default_im_floor(cell))
+    with monkeypatch.context() as patch:
+        patch.setattr(resolvent, "_STALL_STEPS", resolvent._NEWTON_MAX_ITER + 1)
+        want = find_resonances(cell, k, window)
+    got = find_resonances(cell, k, window)
+    assert (collections.Counter(r.band_index for r in got)
+            == collections.Counter(r.band_index for r in want)), (cell, k)
+    assert len(got) == len(want) and all(
+        abs(g.lam - w.lam) <= 1e-12 for g, w in zip(got, want)), (cell, k)
+
+
+@pytest.mark.parametrize("k", [8, 32, 64, 128])
+def test_stall_stop_keeps_reference_roots(cell_a, cell_b, cell_c, k, monkeypatch):
+    for cell in (cell_a, cell_b, cell_c):
+        _stall_stop_agrees(cell, k, monkeypatch)
+
+
+@pytest.mark.parametrize("k", [2, 8, 32])
+def test_stall_stop_keeps_random_cell_roots(k, monkeypatch):
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        _stall_stop_agrees(UnitCell(*rng.uniform(0.5, 5.0, 2), rng.uniform(0.1, 0.9)), k,
+                           monkeypatch)
+
+
+def test_stall_stop_cuts_kernel_work(cell_a, monkeypatch):
+    # A at k = 128: 291 915 kernel points when every run goes to the cap or the
+    # tolerance, 152 552 with the stall stop
+    condition, points = resolvent._resonance_condition, [0]
+
+    def counted(cell, lam, k):
+        points[0] += np.size(lam)
+        return condition(cell, lam, k)
+    monkeypatch.setattr(resolvent, "_resonance_condition", counted)
+    find_resonances(cell_a, 128, Window(0.0, 4.0, default_im_floor(cell_a)))
+    assert 0 < points[0] <= 175_000
