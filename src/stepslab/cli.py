@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -85,8 +86,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if cfg[name] is None:
             raise ValueError(f"missing cell parameter --{name}")
     cfg["cell"] = UnitCell(cfg["b1"], cfg["b2"], cfg["x2"])
-    if cfg["lambda_max"] is None or cfg["lambda_max"] <= 0.0:
-        raise ValueError(f"lambda-max must be positive, got {cfg['lambda_max']}")
+    if cfg["lambda_max"] is None or not 0.0 < cfg["lambda_max"] < math.inf:
+        raise ValueError(f"lambda-max must be finite and positive, got {cfg['lambda_max']}")
     if "grid_re" in keys and cfg["grid_re"] < 2:
         raise ValueError(f"grid-re must be at least 2, got {cfg['grid_re']}")
     if "k" in keys and cfg["k"] < 1:

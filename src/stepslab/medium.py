@@ -26,8 +26,9 @@ class UnitCell:
     x2: float
 
     def __post_init__(self):
-        if not (self.b1 > 0.0 and self.b2 > 0.0):
-            raise ValueError(f"slownesses must be positive, got b1={self.b1}, b2={self.b2}")
+        if not (0.0 < self.b1 < math.inf and 0.0 < self.b2 < math.inf):
+            raise ValueError(
+                f"slownesses must be finite and positive, got b1={self.b1}, b2={self.b2}")
         if not 0.0 < self.x2 < 1.0:
             raise ValueError(f"interface position must lie in (0, 1), got x2={self.x2}")
 

@@ -372,48 +372,35 @@ def _bisect(fn, a, b, tol: float):
 
 
 def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
-    """All bands in (0, lambda_max], edges located to 1e-10 and classified.
+    """All bands in (0, lambda_max], edges located to 1e-12 and classified.
 
-    Crossings of F through +-1 are bracketed on a grid finer than the
-    fastest oscillation of F and bisected; tangencies (degenerate edges,
-    where two bands touch) are located as zeros of F' and split bands.
-    ``_edge_rule`` decides which zeros of F' are tangencies and types
-    every edge.  lambda = 0 is excluded.  A homogeneous cell has no
-    interfaces and is reported as a single clipped band.
+    On a grid finer than the fastest oscillation of F, the critical points of F are
+    bisected on F' first: tangencies (degenerate edges, where two bands touch) are edges,
+    the other extrema join the grid.  Each crossing of |F| = 1 is then a sign change of
+    g = |F| - 1 on that grid, bisected on g, and a band interior has g < 0.  ``_edge_rule``
+    picks the tangencies and types every edge.  lambda = 0 is excluded.  A homogeneous
+    cell has no interfaces and is reported as a single clipped band.
     """
-    if lambda_max <= 0.0:
-        raise InvalidRangeError(f"lambda_max must be positive, got {lambda_max}")
+    if not 0.0 < lambda_max < math.inf:
+        raise InvalidRangeError(f"lambda_max must be finite and positive, got {lambda_max}")
     if cell.contrast == 0.0:
         return [Band(0.0, lambda_max, EdgeType.DEGENERATE, None, 1)]
 
     step = min(0.01, (math.pi / cell.transit_time) / 50.0)
-    xs = np.arange(step, lambda_max, step)
-    xs = np.append(xs, lambda_max)
-    fs = lyapunov(cell, xs)
+    xs = np.append(np.arange(step, lambda_max, step), lambda_max)
     dfs = lyapunov_derivative(cell, xs)
-
     tol = _EDGE_LOCATION_TOL
-    # crossings of F = +1 and F = -1
-    g = fs - np.array([[1.0], [-1.0]])
-    row, i = np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)
-    target = 1.0 - 2.0 * row
-    edges = [_bisect(lambda x: lyapunov(cell, x) - target, xs[i], xs[i + 1], tol)]
-
-    # critical points of F: tangency edges, plus narrow features the grid
-    # sign test may have stepped over
+    # critical points of F: tangency edges, and extrema the grid may step over
     i = np.flatnonzero(dfs[:-1] * dfs[1:] < 0.0)
     lam_c = _bisect(lambda x: lyapunov_derivative(cell, x), xs[i], xs[i + 1], tol)
-    sign_c, g_c, dg_c = _band_offset(cell, lam_c, slope=True)
+    _, g_c, dg_c = _band_offset(cell, lam_c, slope=True)
     touch = _edge_rule(cell, g_c, dg_c)[1]
-    edges.append(lam_c[touch])
-    # an extremum that pokes past +-1 between grid points: two crossings
-    poke = ~touch & (g_c > 0.0)
-    lo = np.concatenate([xs[i[poke]], lam_c[poke]])
-    hi = np.concatenate([lam_c[poke], xs[i[poke] + 1]])
-    target = np.tile(sign_c[poke], 2)
-    keep = (lyapunov(cell, lo) - target) * (lyapunov(cell, hi) - target) < 0.0
-    target = target[keep]
-    edges.append(_bisect(lambda x: lyapunov(cell, x) - target, lo[keep], hi[keep], tol))
+    # crossings of |F| = 1: sign changes of g on the grid refined at the extrema
+    at = i[~touch] + 1
+    gs = np.insert(_band_offset(cell, xs)[1], at, g_c[~touch])
+    xs = np.insert(xs, at, lam_c[~touch])
+    j = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
+    edges = [_bisect(lambda x: _band_offset(cell, x)[1], xs[j], xs[j + 1], tol), lam_c[touch]]
 
     edges = sorted(e for e in np.concatenate(edges).tolist() if 0.0 < e < lambda_max)
     deduped: list[float] = []
@@ -422,14 +409,14 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
             deduped.append(e)
 
     boundaries = [0.0] + deduped + [lambda_max]
-    f_mid = lyapunov(cell, 0.5 * (np.array(boundaries[:-1]) + boundaries[1:]))
+    g_mid = _band_offset(cell, 0.5 * (np.array(boundaries[:-1]) + boundaries[1:]))[1]
     # None where the rule finds no edge: a band clipped by the scan limit
     _, g_b, dg_b = _band_offset(cell, np.array(boundaries), slope=True)
     types = [EdgeType.DEGENERATE if deg else EdgeType.NONDEGENERATE if edge else None
              for edge, deg in zip(*_edge_rule(cell, g_b, dg_b))]
     bands: list[Band] = []
-    for i, (a, b, f) in enumerate(zip(boundaries[:-1], boundaries[1:], f_mid)):
-        if b - a <= 1e-9 or abs(f) >= 1.0:
+    for i, (a, b, g) in enumerate(zip(boundaries[:-1], boundaries[1:], g_mid)):
+        if b - a <= 1e-9 or g >= 0.0:
             continue
         bands.append(Band(a, b, types[i], types[i + 1], len(bands) + 1))
     return bands

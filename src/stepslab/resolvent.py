@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BandMismatchError, ContourThroughZeroError,
-                     DeterminantOverflowError, EmptyWindowWarning,
+from .errors import (ContourThroughZeroError, DeterminantOverflowError, EmptyWindowWarning,
                      InvalidRangeError, RecursionPoleError)
 from .medium import UnitCell
 from .monodromy import Band, _cell_count, find_bands
@@ -59,6 +58,8 @@ class Window:
     im_min: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max))) or math.isnan(self.im_min):
+            raise InvalidRangeError(f"window bounds must be numbers, re bounds finite: {self}")
         if self.re_min < 0.0:
             raise InvalidRangeError(f"re_min must be >= 0, got {self.re_min}")
         if self.re_max <= self.re_min:
@@ -280,11 +281,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         # band edges; anchoring seeds there keeps the shallow roots near
         # the edges from slipping between grid points as k grows
         anchors = [b.lo, b.hi]
-        if k >= 2:
-            try:
-                anchors.extend(perfect_transmission_frequencies(cell, b, k))
-            except BandMismatchError:
-                pass  # band clipped by the scan limit; grid seeds only
+        if k >= 2 and b.hi_type is not None:  # a clipped band gets grid seeds only
+            anchors.extend(perfect_transmission_frequencies(cell, b, k))
         re_parts.append(np.asarray(anchors))
     re_pts = np.concatenate(re_parts)
     seeds = (re_pts[:, None] + 1j * depths[None, :]).ravel()
@@ -332,6 +330,8 @@ def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
     """
     if not (re_lo < re_hi and im_lo < im_hi):
         raise InvalidRangeError("contour rectangle is ill ordered")
+    if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
+        raise InvalidRangeError("contour rectangle is not finite")
     periods = math.ceil((re_hi - re_lo) * cell.transit_time / math.pi)
     n = min(max(256, 16 * _cell_count(k)) * periods, 1 << 17)
     corners = np.array([re_lo + 1j * im_lo, re_hi + 1j * im_lo, re_hi + 1j * im_hi,
@@ -412,12 +412,13 @@ def convergence_study(cell: UnitCell, band: Band, k_list: list[int],
         im_floor = default_im_floor(cell)
     pad = 1e-6 + 1e-3 * band.width
     lo, hi = max(band.lo - pad, 0.0), band.hi + pad
+    window = Window(lo, hi, im_floor)  # checked once, for k = 1 too
     rows = []
     for k in k_list:
         if k == 1:
             found = [r for r in resonances_k1(cell, hi, lo) if r.lam.imag >= im_floor]
         else:
-            found = find_resonances(cell, k, Window(lo, hi, im_floor))
+            found = find_resonances(cell, k, window)
         ims = [r.lam.imag for r in found]
         rows.append(ConvergenceRow(k, len(ims), max(ims, default=None), min(ims, default=None)))
     return rows

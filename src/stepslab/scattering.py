@@ -140,10 +140,8 @@ def perfect_transmission_frequencies(cell: UnitCell, band: Band, k: int) -> list
     """
     if _cell_count(k) < 2:
         raise ValueError(f"need at least two cells, got k={k}")
-    _validate_band(cell, band)
-
+    f_lo, f_hi = _validate_band(cell, band)
     target = np.cos(np.arange(1, k) * math.pi / k)
-    f_lo, f_hi = lyapunov(cell, band.lo), lyapunov(cell, band.hi)
     target = target[(f_lo - target) * (f_hi - target) <= 0.0]
     roots = _bisect(lambda x: lyapunov(cell, x) - target, np.full(target.size, band.lo),
                     np.full(target.size, band.hi), 1e-12)
@@ -176,7 +174,9 @@ def reflection_half_infinite(cell: UnitCell, lam):
     return value
 
 
-def _validate_band(cell: UnitCell, band: Band) -> None:
+def _validate_band(cell: UnitCell, band: Band):
+    """(F(lo), F(hi)) of a band whose edges have |F| = 1 and midpoint |F| < 1;
+    BandMismatchError otherwise."""
     if band.lo >= band.hi:
         raise BandMismatchError(f"band interval ill ordered: {band}")
     f_lo, f_hi, f_mid = lyapunov(cell, np.array([band.lo, band.hi, 0.5 * (band.lo + band.hi)]))
@@ -184,3 +184,4 @@ def _validate_band(cell: UnitCell, band: Band) -> None:
         raise BandMismatchError(f"band edges do not satisfy |F| = 1 for this cell: {band}")
     if abs(f_mid) >= 1.0:
         raise BandMismatchError(f"band midpoint is not inside a band for this cell: {band}")
+    return f_lo, f_hi

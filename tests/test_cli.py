@@ -360,6 +360,8 @@ def test_invalid_settings_exit_2_and_preconditions_exit_3(capsys):
                  ["transmission", *CELL_A, "--k", "0"],
                  ["resonances", *CELL_A, "--k", "0"],
                  ["resonances", *CELL_A, "--re-min", "3", "--re-max", "2"],
+                 ["resonances", *CELL_A, "--k", "4", "--im-min", "nan"],
+                 ["transmission", *CELL_A, "--lambda-max", "nan"],
                  ["converge", *CELL_A, "--k-list", "4", "--band-index", "9"]):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")

@@ -77,6 +77,7 @@ def test_mismatch_is_one_only_for_uniform():
 @pytest.mark.parametrize("b1,b2,x2", [
     (0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.5),
     (1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, -0.2),
+    (math.inf, 1.0, 0.5), (1.0, math.inf, 0.5),
 ])
 def test_unit_cell_validation(b1, b2, x2):
     with pytest.raises(ValueError):

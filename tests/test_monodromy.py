@@ -284,16 +284,23 @@ def test_dispersion_periodicity_commensurate(cell_a):
 
 
 def test_find_bands_invalid_range(cell_a):
-    with pytest.raises(InvalidRangeError):
-        find_bands(cell_a, 0.0)
-    with pytest.raises(InvalidRangeError):
-        find_bands(cell_a, -2.0)
+    for lambda_max in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(InvalidRangeError):
+            find_bands(cell_a, lambda_max)
 
 
-def test_narrow_feature_cell_bands_consistent():
-    # strong contrast produces narrow bands; every reported band interior
-    # must satisfy |F| < 1 and the complement |F| >= 1 on a fine grid
-    cell = UnitCell(0.3, 6.0, 0.5)
+def _seeded_cells(seed, n):
+    rng = np.random.default_rng(seed)
+    return [(*rng.uniform(0.2, 8.0, 2), rng.uniform(0.02, 0.98)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("params", [(0.3, 6.0, 0.5), *_seeded_cells(13, 3), (1.0, 1.001, 0.5)],
+                         ids=["strong_contrast", "seeded0", "seeded1", "seeded2", "weak_contrast"])
+def test_narrow_feature_cell_bands_consistent(params):
+    # strong contrast produces narrow bands, weak contrast narrow gaps; every
+    # reported band interior must satisfy |F| < 1 and the complement |F| >= 1
+    # on a fine grid
+    cell = UnitCell(*params)
     bands = find_bands(cell, 6.0)
     assert bands
     xs = np.linspace(1e-3, 6.0, 20001)
@@ -325,6 +332,30 @@ def test_find_bands_gap_narrower_than_grid_step(params, lambda_max, index, edges
     for edge, ref in zip((left.hi, right.lo), edges):
         assert abs(abs(lyapunov(cell, edge)) - 1.0) <= 1e-9
         assert edge == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("x2", [0.5, 0.2])
+def test_weak_contrast_edges_match_extended_precision(x2):
+    # this cell's gaps are as narrow as 3e-6, with |F'| down to 1.6e-6 at their
+    # edges, so a rounding of F - 1 in the cos form of F moves an edge by 1e-10;
+    # every edge must be within 1e-12 of the 40-digit root of F -+ 1 for the
+    # same double parameters
+    mp = pytest.importorskip("mpmath")
+    cell = UnitCell(1.0, 1.001, x2)
+    edges = [e for b in find_bands(cell, 30.5) for e in (b.lo, b.hi) if 0.0 < e < 30.5]
+    assert len(edges) >= 10
+    with mp.workdps(40):
+        b1, b2, x = mp.mpf(cell.b1), mp.mpf(cell.b2), mp.mpf(cell.x2)
+        rho = (b1 * b1 + b2 * b2) / (2 * b1 * b2)
+        tau, skew = x * b2 + (1 - x) * b1, x * b2 - (1 - x) * b1
+
+        def lyap(lam):
+            return ((rho + 1) * mp.cos(lam * tau) - (rho - 1) * mp.cos(lam * skew)) / 2
+        for edge in edges:
+            target = mp.sign(lyap(mp.mpf(edge)))
+            root = mp.findroot(lambda lam: lyap(lam) - target,
+                               (mp.mpf(edge) - 1e-8, mp.mpf(edge) + 1e-8), solver="anderson")
+            assert abs(edge - root) <= 1e-12
 
 
 def _bisect_one(fn, a, b, tol):

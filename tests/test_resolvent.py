@@ -346,6 +346,9 @@ def test_ill_ordered_ranges_raise(cell_a):
     for rect in ((2.0, 1.0, -1.0, -1e-9), (1.0, 2.0, -1e-9, -1.0), (1.0, 1.0, -1.0, -1e-9)):
         with pytest.raises(InvalidRangeError, match="ill ordered"):
             count_zeros_rectangle(cell_a, 2, *rect)
+    for rect in ((1.0, math.inf, -1.0, -1e-9), (1.0, 2.0, -math.inf, -1e-9)):
+        with pytest.raises(InvalidRangeError, match="not finite"):
+            count_zeros_rectangle(cell_a, 2, *rect)
     with pytest.raises(InvalidRangeError):
         resonances_k1(cell_a, 1.0, 2.0)
     with pytest.raises(InvalidRangeError):
@@ -381,6 +384,11 @@ def test_window_validation():
         Window(2.0, 1.0, -1.0)
     with pytest.raises(InvalidRangeError):
         Window(0.0, 4.0, 0.5)
+    for bounds in ((math.nan, 4.0, -1.0), (0.0, math.nan, -1.0), (0.0, 4.0, math.nan),
+                   (0.0, math.inf, -1.0)):
+        with pytest.raises(InvalidRangeError):
+            Window(*bounds)
+    assert Window(0.0, 4.0, -math.inf).im_min == -math.inf  # an unbounded floor stays allowed
 
 
 def test_convergence_study_rows(cell_a):
@@ -395,6 +403,9 @@ def test_convergence_study_rows(cell_a):
         convergence_study(cell_a, band, [4, 1])
     with pytest.raises(ValueError):
         convergence_study(cell_a, band, [8, 4])
+    for k_list in ([1], [4]):  # the window is checked before any k, the closed form's too
+        with pytest.raises(InvalidRangeError):
+            convergence_study(cell_a, band, k_list, im_floor=math.nan)
 
 
 def test_convergence_study_k1_uses_closed_form(cell_a):
