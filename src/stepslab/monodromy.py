@@ -376,10 +376,12 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
 
     On a grid finer than the fastest oscillation of F, the critical points of F are
     bisected on F' first: tangencies (degenerate edges, where two bands touch) are edges,
-    the other extrema join the grid.  Each crossing of |F| = 1 is then a sign change of
-    g = |F| - 1 on that grid, bisected on g, and a band interior has g < 0.  ``_edge_rule``
-    picks the tangencies and types every edge.  lambda = 0 is excluded.  A homogeneous
-    cell has no interfaces and is reported as a single clipped band.
+    the other extrema join the grid.  Where F then runs through all of [-1, 1] between two
+    grid points, its zero, bisected on the sign of F, joins the grid too.  Each crossing of
+    |F| = 1 is then a sign change of g = |F| - 1 on that grid, bisected on g, and a band
+    interior has g < 0.  ``_edge_rule`` picks the tangencies and types every edge.
+    lambda = 0 is excluded.  A homogeneous cell has no interfaces and is reported as a
+    single clipped band.
     """
     if not 0.0 < lambda_max < math.inf:
         raise InvalidRangeError(f"lambda_max must be finite and positive, got {lambda_max}")
@@ -393,12 +395,18 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     # critical points of F: tangency edges, and extrema the grid may step over
     i = np.flatnonzero(dfs[:-1] * dfs[1:] < 0.0)
     lam_c = _bisect(lambda x: lyapunov_derivative(cell, x), xs[i], xs[i + 1], tol)
-    _, g_c, dg_c = _band_offset(cell, lam_c, slope=True)
+    sign_c, g_c, dg_c = _band_offset(cell, lam_c, slope=True)
     touch = _edge_rule(cell, g_c, dg_c)[1]
-    # crossings of |F| = 1: sign changes of g on the grid refined at the extrema
+    # F is monotone between points of the grid refined at the extrema
     at = i[~touch] + 1
-    gs = np.insert(_band_offset(cell, xs)[1], at, g_c[~touch])
+    ss, gs = _band_offset(cell, xs)
+    ss, gs = np.insert(ss, at, sign_c[~touch]), np.insert(gs, at, g_c[~touch])
     xs = np.insert(xs, at, lam_c[~touch])
+    # F through all of [-1, 1] between two points: add its zero, where g = -1
+    z = np.flatnonzero((ss[:-1] != ss[1:]) & (gs[:-1] > 0.0) & (gs[1:] > 0.0))
+    lam_z = _bisect(lambda x: _band_offset(cell, x)[0], xs[z], xs[z + 1], tol)
+    gs, xs = np.insert(gs, z + 1, -1.0), np.insert(xs, z + 1, lam_z)
+    # crossings of |F| = 1: sign changes of g
     j = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
     edges = [_bisect(lambda x: _band_offset(cell, x)[1], xs[j], xs[j + 1], tol), lam_c[touch]]
 

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ContourThroughZeroError, DeterminantOverflowError, EmptyWindowWarning,
+from .errors import (BandMismatchError, ContourThroughZeroError,
+                     DeterminantOverflowError, EmptyWindowWarning,
                      InvalidRangeError, RecursionPoleError)
 from .medium import UnitCell
 from .monodromy import Band, _cell_count, find_bands
@@ -281,8 +282,11 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         # band edges; anchoring seeds there keeps the shallow roots near
         # the edges from slipping between grid points as k grows
         anchors = [b.lo, b.hi]
-        if k >= 2 and b.hi_type is not None:  # a clipped band gets grid seeds only
-            anchors.extend(perfect_transmission_frequencies(cell, b, k))
+        if k >= 2:
+            try:
+                anchors.extend(perfect_transmission_frequencies(cell, b, k))
+            except BandMismatchError:
+                pass  # band clipped by the scan limit; grid seeds only
         re_parts.append(np.asarray(anchors))
     re_pts = np.concatenate(re_parts)
     seeds = (re_pts[:, None] + 1j * depths[None, :]).ravel()

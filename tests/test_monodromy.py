@@ -294,16 +294,19 @@ def _seeded_cells(seed, n):
     return [(*rng.uniform(0.2, 8.0, 2), rng.uniform(0.02, 0.98)) for _ in range(n)]
 
 
-@pytest.mark.parametrize("params", [(0.3, 6.0, 0.5), *_seeded_cells(13, 3), (1.0, 1.001, 0.5)],
-                         ids=["strong_contrast", "seeded0", "seeded1", "seeded2", "weak_contrast"])
-def test_narrow_feature_cell_bands_consistent(params):
+@pytest.mark.parametrize("params, lambda_max", [
+    ((0.3, 6.0, 0.5), 6.0), *((c, 6.0) for c in _seeded_cells(13, 3)), ((1.0, 1.001, 0.5), 6.0),
+    ((0.1, 10.0, 0.5), 40.0),
+], ids=["strong_contrast", "seeded0", "seeded1", "seeded2", "weak_contrast", "bands_below_grid_step"])
+def test_narrow_feature_cell_bands_consistent(params, lambda_max):
     # strong contrast produces narrow bands, weak contrast narrow gaps; every
     # reported band interior must satisfy |F| < 1 and the complement |F| >= 1
-    # on a fine grid
+    # on a fine grid.  Above lambda ~ 18.5 the bands of (0.1, 10, 0.5) are narrower
+    # than the 0.01 scan step: F runs from above +1 to below -1 between grid points
     cell = UnitCell(*params)
-    bands = find_bands(cell, 6.0)
+    bands = find_bands(cell, lambda_max)
     assert bands
-    xs = np.linspace(1e-3, 6.0, 20001)
+    xs = np.linspace(1e-3, lambda_max, round(20000 * lambda_max / 6.0) + 1)
     inside = np.zeros_like(xs, dtype=bool)
     for b in bands:
         inside |= (xs > b.lo + 1e-6) & (xs < b.hi - 1e-6)

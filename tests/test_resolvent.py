@@ -236,6 +236,23 @@ def test_random_cells_complete(k):
         assert all(n in (k - 1, k) for n in counts.values()), (cell, counts)
 
 
+def test_window_just_below_an_edge_keeps_peak_anchors(cell_a, cell_b, cell_c):
+    # re_max is the first band's upper edge printed to 12 digits and rounded down, a few
+    # 1e-12 below it, so find_bands clips the band there; its transmission peaks still
+    # anchor seeds, and at k = 128 the roots are those of the window ending at the edge
+    k = 128
+    for cell in (cell_a, cell_b, cell_c):
+        band = find_bands(cell, 4.0)[0]
+        re_max = float(f"{band.hi:.12g}")
+        if re_max >= band.hi:
+            re_max -= 10.0 ** (math.floor(math.log10(band.hi)) - 11)
+        assert find_bands(cell, re_max)[0].hi_type is None
+        clipped = find_resonances(cell, k, Window(band.lo, re_max, -math.inf))
+        full = find_resonances(cell, k, Window(band.lo, band.hi, -math.inf))
+        assert len(clipped) == len(full) == k
+        assert [r.lam for r in clipped] == pytest.approx([r.lam for r in full], abs=1e-12)
+
+
 def test_resonance_set_conjugate_symmetric(cell_a):
     d = cell_a.contrast
     for r in find_resonances(cell_a, 3, Window(0.0, 4.0, -1.25)):
