@@ -19,12 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BandMismatchError, ContourThroughZeroError,
-                     DeterminantOverflowError, EmptyWindowWarning,
-                     InvalidRangeError, RecursionPoleError)
+from .errors import (ContourThroughZeroError, DeterminantOverflowError,
+                     EmptyWindowWarning, InvalidRangeError, RecursionPoleError)
 from .medium import UnitCell
 from .monodromy import Band, _cell_count, find_bands
-from .scattering import (_blockwise, _quotient, _slab_terms,
+from .scattering import (_blockwise, _quotient, _slab_terms, _validate_band,
                          perfect_transmission_frequencies, reflection_k)
 
 #: A converged root must satisfy |d*Q - 1| below this.
@@ -174,9 +173,9 @@ def resonances_k1(cell: UnitCell, re_max: float, re_min: float = 0.0) -> list[Re
     return out
 
 
-def _assign_band(bands: list[Band], re: float, tol: float = 1e-6) -> int | None:
+def _assign_band(bands: list[Band], re: float) -> int | None:
     for b in bands:
-        if b.contains(re, tol):
+        if b.contains(re, 1e-6):
             return b.index
     return None
 
@@ -238,24 +237,27 @@ def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
 def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     """All resonances of the k-cell slab inside the window.
 
-    Newton seeds form a rectangular grid: real parts sample each band
-    (plus small edge margins) at spacing width/(4k) and are anchored at
-    the perfect-transmission frequencies, since resonance real parts are
-    confined to the bands and sit below the transmission peaks.  Imaginary parts use
-    the ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2), which tracks the
-    one-cell depth scale, extended by k-scaled shallow rungs for the
-    near-edge roots.  All seeds run Newton together on the entire slab
-    denominator den, each step one kernel evaluation of den/den' and of
-    the residual |d Q - 1|; a run that stalls (no halving of its best
-    residual in _STALL_STEPS steps) stops early.  Converged roots are filtered to the window,
-    required to satisfy the residual tolerance, deduplicated greedily in
-    residual order (a root within DEDUP_RADIUS of a kept one is dropped),
-    and assigned a band by real-part membership.
+    Every band the window touches is searched whole.  Bands are scanned to re_max + 2 pi/tau,
+    and a band (F monotone, F' != 0 where |F| < 1) lies between two critical points of F
+    less than 2 pi/tau apart: F' = ((rho-1) s sin(lam s) - (rho+1) tau sin(lam tau))/2 has
+    the sign of -sin(lam tau) at lam tau = (n + 1/2) pi, as (rho+1) tau > (rho-1) |s|, so
+    it vanishes in every interval of length pi/tau.  Newton seeds form a rectangular grid.
+    Real parts sample each band (plus small edge margins) at spacing width/(4k) and are
+    anchored at the band edges and the perfect-transmission frequencies, right above the
+    resonances, so the shallow near-edge roots do not slip between grid points as k grows;
+    seeds stop at the window's end plus the margin.  Imaginary parts use the ladder
+    {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled shallow rungs.  All seeds run Newton
+    together on the entire slab denominator den, each step one kernel evaluation of
+    den/den' and of the residual |d Q - 1|; a run that stalls (no halving of its best
+    residual in _STALL_STEPS steps) stops early.  Converged roots are filtered to the
+    window, required to satisfy the residual tolerance, deduplicated greedily in residual
+    order (a root within DEDUP_RADIUS of a kept one is dropped), and assigned a band by
+    real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:
         return []
-    bands = find_bands(cell, window.re_max)
+    bands = find_bands(cell, window.re_max + 2.0 * math.pi / cell.transit_time)
     bands_in = [b for b in bands
                 if b.hi > window.re_min - 1e-9 and b.lo < window.re_max + 1e-9]
     if not bands_in:
@@ -278,16 +280,9 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         hi = min(b.hi + margin, window.re_max + margin)
         n = int(math.ceil((hi - lo) / spacing)) + 1
         re_parts.append(np.linspace(lo, hi, n))
-        # resonances sit directly below the transmission peaks and the
-        # band edges; anchoring seeds there keeps the shallow roots near
-        # the edges from slipping between grid points as k grows
-        anchors = [b.lo, b.hi]
-        if k >= 2:
-            try:
-                anchors.extend(perfect_transmission_frequencies(cell, b, k))
-            except BandMismatchError:
-                pass  # band clipped by the scan limit; grid seeds only
-        re_parts.append(np.asarray(anchors))
+        peaks = perfect_transmission_frequencies(cell, b, k) if k >= 2 else []
+        anchors = np.array([b.lo, b.hi, *peaks])
+        re_parts.append(anchors[anchors <= hi])
     re_pts = np.concatenate(re_parts)
     seeds = (re_pts[:, None] + 1j * depths[None, :]).ravel()
 
@@ -404,14 +399,16 @@ def convergence_study(cell: UnitCell, band: Band, k_list: list[int],
                       im_floor: float | None = None) -> list[ConvergenceRow]:
     """Depth of the band's resonances as the slab grows.
 
-    For each k the full resonance set over the band window is computed
-    (k = 1 by the closed form) and the extreme imaginary parts recorded;
-    max_im must climb toward zero as k increases.
+    For each k the full resonance set over the band window is computed (k = 1 by the closed
+    form) and the extreme imaginary parts recorded; max_im must climb toward zero as k
+    increases.  A two-step cell's band must be whole, edges at |F| = 1 (BandMismatchError).
     """
     for k in k_list:
         _cell_count(k)
     if any(nxt < prev for prev, nxt in zip(k_list, k_list[1:])):
         raise ValueError("k_list must be non-decreasing")
+    if not cell.homogeneous:
+        _validate_band(cell, band)
     if im_floor is None:
         im_floor = default_im_floor(cell)
     pad = 1e-6 + 1e-3 * band.width

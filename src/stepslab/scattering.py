@@ -24,9 +24,11 @@ from .monodromy import (Band, Regime, _arith, _bisect, _cell_count, _half_angles
 _POLE_RTOL = 1e-13
 
 
-def _blockwise(fn, size=1 << 12):
-    """Run fn(cell, lam, k) on blocks of at most size frequencies; bounds its temporaries.
+def _blockwise(fn):
+    """Run fn(cell, lam, k) on blocks of at most 4096 frequencies; bounds its temporaries.
     fn returns an array shaped like lam, or a tuple of them."""
+    size = 1 << 12
+
     @functools.wraps(fn)
     def blocked(cell, lam, k):
         if isinstance(lam, (float, int, complex)) or np.size(lam) <= size:

@@ -216,6 +216,9 @@ def test_converge_requires_k_list(capsys):
 def test_converge_rejects_decreasing_k_list(capsys):
     code, _, _ = _run(capsys, ["converge", *CELL_A, "--k-list", "8,4"])
     assert code == 2
+    # band 3 is clipped at the default lambda-max 4, so its window would miss roots
+    code, _, err = _run(capsys, ["converge", *CELL_A, "--k-list", "4,8,16", "--band-index", "3"])
+    assert code == 2 and "band" in err
 
 
 def test_json_round_trip(capsys):

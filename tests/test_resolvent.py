@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stepslab import (ContourThroughZeroError, DeterminantOverflowError,
+from stepslab import (BandMismatchError, ContourThroughZeroError, DeterminantOverflowError,
                       EmptyWindowWarning, InvalidRangeError, PoleProximityError,
                       RecursionPoleError, UnitCell, Window, audit_count,
                       chain_determinants, convergence_study,
@@ -253,6 +253,36 @@ def test_window_just_below_an_edge_keeps_peak_anchors(cell_a, cell_b, cell_c):
         assert [r.lam for r in clipped] == pytest.approx([r.lam for r in full], abs=1e-12)
 
 
+def test_window_ending_mid_band_keeps_its_roots(cell_a, cell_b, cell_c):
+    # the window cuts band 2 in the middle; seeded as the whole band (grid spacing, peak
+    # anchors), it holds the full window's roots below the cut at k = 128, near-edge ones too
+    k = 128
+    for cell in (cell_a, cell_b, cell_c):
+        band = find_bands(cell, 4.0)[1]
+        cut = band.lo + 0.5 * band.width
+        floor = default_im_floor(cell)
+        got = find_resonances(cell, k, Window(0.0, cut, floor))
+        want = [r for r in find_resonances(cell, k, Window(0.0, 4.0, floor)) if r.lam.real <= cut]
+        assert [r.band_index for r in got] == [r.band_index for r in want], cell
+        assert [r.lam for r in got] == pytest.approx([r.lam for r in want], abs=1e-12)
+
+
+def test_bands_shorter_than_two_periods():
+    # find_resonances scans bands to re_max + 2 pi/tau and takes every band the window
+    # touches as complete: no band may be as long as 2 pi/tau.  Strong contrast gives
+    # narrow bands, weak contrast bands near pi/tau with narrow gaps
+    rng = np.random.default_rng(14)
+    strong = [UnitCell(1.0, math.exp(rng.uniform(math.log(0.02), math.log(50.0))),
+                       rng.uniform(0.05, 0.95)) for _ in range(40)]
+    weak = [UnitCell(1.0, 1.0 + math.exp(rng.uniform(math.log(1e-6), math.log(1e-2))),
+                     rng.uniform(0.05, 0.95)) for _ in range(20)]
+    for cell in strong + weak:
+        period = 2.0 * math.pi / cell.transit_time
+        bands = find_bands(cell, 15.0 * period)
+        assert len(bands) >= 10
+        assert max(b.width for b in bands) < period, cell
+
+
 def test_resonance_set_conjugate_symmetric(cell_a):
     d = cell_a.contrast
     for r in find_resonances(cell_a, 3, Window(0.0, 4.0, -1.25)):
@@ -423,6 +453,8 @@ def test_convergence_study_rows(cell_a):
     for k_list in ([1], [4]):  # the window is checked before any k, the closed form's too
         with pytest.raises(InvalidRangeError):
             convergence_study(cell_a, band, k_list, im_floor=math.nan)
+    with pytest.raises(BandMismatchError):  # band 3 clipped at 4: its window misses roots
+        convergence_study(cell_a, find_bands(cell_a, 4.0)[2], [4, 8])
 
 
 def test_convergence_study_k1_uses_closed_form(cell_a):
@@ -546,7 +578,8 @@ def test_stall_stop_keeps_random_cell_roots(k, monkeypatch):
 
 def test_stall_stop_cuts_kernel_work(cell_a, monkeypatch):
     # A at k = 128: 291 915 kernel points when every run goes to the cap or the
-    # tolerance, 152 552 with the stall stop
+    # tolerance, 152 552 with the stall stop, and 113 120 with band 3, which the
+    # window cuts 0.073 after its start, seeded at its full width/(4k)
     condition, points = resolvent._resonance_condition, [0]
 
     def counted(cell, lam, k):
@@ -554,4 +587,4 @@ def test_stall_stop_cuts_kernel_work(cell_a, monkeypatch):
         return condition(cell, lam, k)
     monkeypatch.setattr(resolvent, "_resonance_condition", counted)
     find_resonances(cell_a, 128, Window(0.0, 4.0, default_im_floor(cell_a)))
-    assert 0 < points[0] <= 175_000
+    assert 0 < points[0] <= 125_000
