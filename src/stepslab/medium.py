@@ -43,6 +43,17 @@ class UnitCell:
         return (self.b1 * self.b1 + self.b2 * self.b2) / (2.0 * self.b1 * self.b2)
 
     @functools.cached_property
+    def mismatch_minus_one(self) -> float:
+        """mismatch - 1 = (b2 - b1)^2 / (2 b1 b2), without the cancellation of
+        subtracting 1 when b1 and b2 are close."""
+        return (self.b2 - self.b1) ** 2 / (2.0 * self.b1 * self.b2)
+
+    @functools.cached_property
+    def mismatch_plus_one(self) -> float:
+        """mismatch + 1 = (b1 + b2)^2 / (2 b1 b2)."""
+        return (self.b1 + self.b2) ** 2 / (2.0 * self.b1 * self.b2)
+
+    @functools.cached_property
     def transit_time(self) -> float:
         """Travel time across one cell, x2*b2 + (1 - x2)*b1."""
         return self.x2 * self.b2 + (1.0 - self.x2) * self.b1

@@ -136,27 +136,25 @@ def lyapunov(cell: UnitCell, lam):
     """Dispersion function F(lam), half the propagator trace.
 
     F(lam) = ((rho+1)/2) cos(lam*tau) - ((rho-1)/2) cos(lam*skew) with
-    tau the cell transit time and skew the layer transit-time difference.
+    tau the cell transit time and skew the layer transit-time difference;
+    rho - 1 and rho + 1 are the cell's own quotients, which do not cancel.
     """
-    rho = cell.mismatch
-    return 0.5 * ((rho + 1.0) * np.cos(lam * cell.transit_time)
-                  - (rho - 1.0) * np.cos(lam * cell.transit_skew))
+    return 0.5 * (cell.mismatch_plus_one * np.cos(lam * cell.transit_time)
+                  - cell.mismatch_minus_one * np.cos(lam * cell.transit_skew))
 
 
 def lyapunov_derivative(cell: UnitCell, lam):
     """dF/dlam, analytically differentiated."""
-    rho = cell.mismatch
     tt, ts = cell.transit_time, cell.transit_skew
-    return 0.5 * (-(rho + 1.0) * tt * np.sin(lam * tt)
-                  + (rho - 1.0) * ts * np.sin(lam * ts))
+    return 0.5 * (-cell.mismatch_plus_one * tt * np.sin(lam * tt)
+                  + cell.mismatch_minus_one * ts * np.sin(lam * ts))
 
 
 def lyapunov_curvature(cell: UnitCell, lam):
     """d2F/dlam2, analytically differentiated."""
-    rho = cell.mismatch
     tt, ts = cell.transit_time, cell.transit_skew
-    return 0.5 * (-(rho + 1.0) * tt * tt * np.cos(lam * tt)
-                  + (rho - 1.0) * ts * ts * np.cos(lam * ts))
+    return 0.5 * (-cell.mismatch_plus_one * tt * tt * np.cos(lam * tt)
+                  + cell.mismatch_minus_one * ts * ts * np.cos(lam * ts))
 
 
 def _half_angles(cell: UnitCell, lam):
@@ -188,10 +186,10 @@ def _band_offset(cell: UnitCell, lam, slope: bool = False):
 
 def _offset(cell: UnitCell, lib, half, slope: bool = False):
     """``_band_offset`` from the half-angle sines and cosines of ``_half_angles``."""
-    rho = cell.mismatch
+    minus, plus = cell.mismatch_minus_one, cell.mismatch_plus_one
     sa, ca, sb, cb = half
-    below = (rho - 1.0) * (sb * sb) - (rho + 1.0) * (sa * sa)
-    above = (rho - 1.0) * (cb * cb) - (rho + 1.0) * (ca * ca)
+    below = minus * (sb * sb) - plus * (sa * sa)
+    above = minus * (cb * cb) - plus * (ca * ca)
     if lib is np:
         sign = np.copysign(1.0, np.real(below - above))
         g = np.where(sign > 0.0, below, above)
@@ -201,7 +199,7 @@ def _offset(cell: UnitCell, lib, half, slope: bool = False):
     if not slope:
         return sign, g
     # F' = ((rho-1) skew sin 2b - (rho+1) tau sin 2a) / 2, sin 2x = 2 sin x cos x
-    df = (rho - 1.0) * cell.transit_skew * sb * cb - (rho + 1.0) * cell.transit_time * sa * ca
+    df = minus * cell.transit_skew * sb * cb - plus * cell.transit_time * sa * ca
     return sign, g, sign * df
 
 
@@ -290,7 +288,7 @@ def _edge_rule(cell: UnitCell, g, dg):
     (tol = _EDGE_LOCATION_TOL) or g zero to its rounding, 4 eps (rho + 1); a degenerate
     edge has |g'| < EDGE_DERIVATIVE_TOL and |g| <= tol.  Elsewhere g < 0 is a band."""
     degenerate = (abs(dg) < EDGE_DERIVATIVE_TOL) & (abs(g) <= _EDGE_LOCATION_TOL)
-    rounding = 4.0 * math.ulp(1.0) * (cell.mismatch + 1.0)
+    rounding = 4.0 * math.ulp(1.0) * cell.mismatch_plus_one
     return degenerate | (abs(g) <= _EDGE_LOCATION_TOL * abs(dg) + rounding), degenerate
 
 
@@ -389,7 +387,9 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
         return [Band(0.0, lambda_max, EdgeType.DEGENERATE, None, 1)]
 
     step = min(0.01, (math.pi / cell.transit_time) / 50.0)
-    xs = np.append(np.arange(step, lambda_max, step), lambda_max)
+    # the grid runs on to its first point at or past lambda_max, so where lambda_max falls
+    # moves no bracket, and no edge below it
+    xs = step + step * np.arange(int(lambda_max // step) + 1)
     dfs = lyapunov_derivative(cell, xs)
     tol = _EDGE_LOCATION_TOL
     # critical points of F: tangency edges, and extrema the grid may step over

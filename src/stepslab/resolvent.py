@@ -251,8 +251,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     den/den' and of the residual |d Q - 1|; a run that stalls (no halving of its best
     residual in _STALL_STEPS steps) stops early.  Converged roots are filtered to the
     window, required to satisfy the residual tolerance, deduplicated greedily in residual
-    order (a root within DEDUP_RADIUS of a kept one is dropped), and assigned a band by
-    real-part membership.
+    order (a root within DEDUP_RADIUS of a kept one is dropped; O(n log n) in the n
+    candidates), and assigned a band by real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -295,10 +295,21 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
               & (z.real >= window.re_min - 1e-9) & (z.real <= window.re_max + 1e-9))
     kept: list[tuple[complex, float, int, complex]] = []
     cand = order[inside]
-    while cand.size:  # keep the best remaining root, drop all within DEDUP_RADIUS of it
-        i = cand[0]
-        kept.append((complex(roots[i]), float(resid[i]), int(iters[i]), complex(seeds[i])))
-        cand = cand[np.abs(roots[cand] - roots[i]) > DEDUP_RADIUS]
+    # keep the best remaining root and drop all within DEDUP_RADIUS of it, looked up among
+    # the candidates sorted by real part (rank: a candidate's place there); the lookup spans
+    # twice the radius, so no rounding of re +- radius hides a candidate that the distance
+    # test drops
+    perm = np.argsort(roots[cand].real, kind="stable")
+    sorted_z = roots[cand[perm]]
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(perm.size)
+    ends = np.searchsorted(sorted_z.real,
+                           sorted_z.real[rank] + np.array([[-2.0], [2.0]]) * DEDUP_RADIUS)
+    alive = np.ones(cand.size, dtype=bool)
+    for i, r, lo, hi in zip(cand.tolist(), rank.tolist(), *ends.tolist()):
+        if alive[r]:
+            kept.append((complex(roots[i]), float(resid[i]), int(iters[i]), complex(seeds[i])))
+            alive[lo:hi] &= np.abs(sorted_z[lo:hi] - roots[i]) > DEDUP_RADIUS
 
     kept.sort(key=lambda t: (t[0].real, t[0].imag))
     return [Resonance(lam, r, _assign_band(bands, lam.real), it, seed)
@@ -371,10 +382,16 @@ def audit_count(cell: UnitCell, k: int, band: Band, im_floor: float | None = Non
     """Newton-independent resonance count for one band.
 
     Counts zeros inside [band.lo - margin, band.hi + margin] x
-    [im_floor, -1e-9] by the argument principle, with margin
-    _AUDIT_MARGIN.  If the contour passes too close to a zero the margin
-    is widened and the count retried, at most five times.
+    [im_floor, band.width/k] by the argument principle, with margin
+    _AUDIT_MARGIN.  The top side lies above the real axis: the determinant
+    is den times a zero-free factor, and den has no zeros in the closed
+    upper half plane, so the count is that of the lower half of the
+    rectangle, while the shallow near-edge roots (depth about k^-3) stay
+    width/k from the contour and the start grid needs no refinement there.
+    If the contour passes too close to a zero the margin is widened and the
+    count retried, at most five times.
     """
+    top = band.width / _cell_count(k)
     if im_floor is None:
         im_floor = default_im_floor(cell)
     last: ContourThroughZeroError | None = None
@@ -382,7 +399,7 @@ def audit_count(cell: UnitCell, k: int, band: Band, im_floor: float | None = Non
         margin = _AUDIT_MARGIN * (1.0 + 0.17 * attempt)
         try:
             return count_zeros_rectangle(cell, k, band.lo - margin, band.hi + margin,
-                                         im_floor, -1e-9)
+                                         im_floor, top)
         except ContourThroughZeroError as err:
             last = err
     raise last

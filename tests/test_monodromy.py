@@ -337,16 +337,22 @@ def test_find_bands_gap_narrower_than_grid_step(params, lambda_max, index, edges
         assert edge == pytest.approx(ref, abs=1e-10)
 
 
-@pytest.mark.parametrize("x2", [0.5, 0.2])
-def test_weak_contrast_edges_match_extended_precision(x2):
-    # this cell's gaps are as narrow as 3e-6, with |F'| down to 1.6e-6 at their
-    # edges, so a rounding of F - 1 in the cos form of F moves an edge by 1e-10;
+@pytest.mark.parametrize("b2, x2, lambda_max, n_edges", [
+    pytest.param(1.001, 0.5, 30.5, 10, id="0.5"),
+    pytest.param(1.001, 0.2, 30.5, 10, id="0.2"),
+    # rho - 1 = 5e-11, which mismatch - 1 gets only to 1.2e-6 relative: an edge 6e-12 off
+    pytest.param(1.00001, 0.3, 10.0, 6, id="1.00001-0.3"),
+])
+def test_weak_contrast_edges_match_extended_precision(b2, x2, lambda_max, n_edges):
+    # UnitCell(1, 1.001, x2) has gaps as narrow as 3e-6, with |F'| down to 1.6e-6 at
+    # their edges, so a rounding of F - 1 in the cos form of F moves an edge by 1e-10;
     # every edge must be within 1e-12 of the 40-digit root of F -+ 1 for the
     # same double parameters
     mp = pytest.importorskip("mpmath")
-    cell = UnitCell(1.0, 1.001, x2)
-    edges = [e for b in find_bands(cell, 30.5) for e in (b.lo, b.hi) if 0.0 < e < 30.5]
-    assert len(edges) >= 10
+    cell = UnitCell(1.0, b2, x2)
+    edges = [e for b in find_bands(cell, lambda_max) for e in (b.lo, b.hi)
+             if 0.0 < e < lambda_max]
+    assert len(edges) >= n_edges
     with mp.workdps(40):
         b1, b2, x = mp.mpf(cell.b1), mp.mpf(cell.b2), mp.mpf(cell.x2)
         rho = (b1 * b1 + b2 * b2) / (2 * b1 * b2)
@@ -359,6 +365,16 @@ def test_weak_contrast_edges_match_extended_precision(x2):
             root = mp.findroot(lambda lam: lyap(lam) - target,
                                (mp.mpf(edge) - 1e-8, mp.mpf(edge) + 1e-8), solver="anderson")
             assert abs(edge - root) <= 1e-12
+
+
+def test_band_edges_independent_of_lambda_max(cell_a, cell_b, cell_c):
+    # each of the first 12 bands, found again with lambda_max just past its upper edge,
+    # is bitwise the same band: the scan grid does not end at lambda_max
+    for cell in (cell_a, cell_b, cell_c):
+        for band in find_bands(cell, 40.0)[:12]:
+            for delta in (1e-4, 5e-4, 1.2e-3, 4e-3, 9e-3):
+                again = find_bands(cell, band.hi + delta)[band.index - 1]
+                assert again == band, (cell, band.index, delta)
 
 
 def _bisect_one(fn, a, b, tol):

@@ -23,7 +23,7 @@ def test_audit_matches_denominator_winding(b1, b2, x2, k):
     assume(abs(cell.contrast) >= 0.05)
     # band 1 ends below pi / transit time, where F <= -1
     band = find_bands(cell, 1.5 * math.pi / cell.transit_time)[0]
-    rect = (band.lo - 0.05, band.hi + 0.05, default_im_floor(cell), -1e-9)
+    rect = (band.lo - 0.05, band.hi + 0.05, default_im_floor(cell), band.width / k)
     try:
         count = audit_count(cell, k, band)
     except DeterminantOverflowError:
