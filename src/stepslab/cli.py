@@ -90,15 +90,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ValueError(f"lambda-max must be finite and positive, got {cfg['lambda_max']}")
     if "grid_re" in keys and cfg["grid_re"] < 2:
         raise ValueError(f"grid-re must be at least 2, got {cfg['grid_re']}")
-    if "k" in keys and cfg["k"] < 1:
-        raise ValueError(f"k must be a positive integer, got {cfg['k']}")
     if "im_min" in keys and cfg["im_min"] is None:
         cfg["im_min"] = default_im_floor(cfg["cell"])
-    if "re_max" in keys:
-        if cfg["re_max"] is None:
-            cfg["re_max"] = cfg["lambda_max"]
-        if not cfg["re_min"] <= cfg["re_max"]:
-            raise ValueError("window ill ordered: re-min exceeds re-max")
+    if "re_max" in keys and cfg["re_max"] is None:
+        cfg["re_max"] = cfg["lambda_max"]
     return cfg
 
 

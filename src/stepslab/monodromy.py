@@ -150,13 +150,6 @@ def lyapunov_derivative(cell: UnitCell, lam):
                   + cell.mismatch_minus_one * ts * np.sin(lam * ts))
 
 
-def lyapunov_curvature(cell: UnitCell, lam):
-    """d2F/dlam2, analytically differentiated."""
-    tt, ts = cell.transit_time, cell.transit_skew
-    return 0.5 * (-cell.mismatch_plus_one * tt * tt * np.cos(lam * tt)
-                  + cell.mismatch_minus_one * ts * ts * np.cos(lam * ts))
-
-
 def _half_angles(cell: UnitCell, lam):
     """(lam, lib, half) with lam and lib from ``_arith`` and half = (sin a, cos a, sin b, cos b)
     at a = lam tau/2, b = lam skew/2: all the trigonometry the slab terms need at real lam."""

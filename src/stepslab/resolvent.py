@@ -243,16 +243,18 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     the sign of -sin(lam tau) at lam tau = (n + 1/2) pi, as (rho+1) tau > (rho-1) |s|, so
     it vanishes in every interval of length pi/tau.  Newton seeds form a rectangular grid.
     Real parts sample each band (plus small edge margins) at spacing width/(4k) and are
-    anchored at the band edges and the perfect-transmission frequencies, right above the
-    resonances, so the shallow near-edge roots do not slip between grid points as k grows;
-    seeds stop at the window's end plus the margin.  Imaginary parts use the ladder
-    {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled shallow rungs.  All seeds run Newton
-    together on the entire slab denominator den, each step one kernel evaluation of
-    den/den' and of the residual |d Q - 1|; a run that stalls (no halving of its best
-    residual in _STALL_STEPS steps) stops early.  Converged roots are filtered to the
-    window, required to satisfy the residual tolerance, deduplicated greedily in residual
-    order (a root within DEDUP_RADIUS of a kept one is dropped; O(n log n) in the n
-    candidates), and assigned a band by real-part membership.
+    anchored, at every k, at the band edges and the perfect-transmission frequencies (at
+    k = 1 the in-band transparency frequencies), right above the resonances, so the
+    shallow near-edge roots do not slip between grid points as k grows; seeds stop at the
+    window's end plus the margin.  Imaginary parts use the ladder
+    {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled rungs, whose deepest reaches the
+    one-cell roots at k = 1.  All seeds run Newton together on the entire slab denominator
+    den, each step one kernel evaluation of den/den' and of the residual |d Q - 1|; a run
+    that stalls (no halving of its best residual in _STALL_STEPS steps) stops early.
+    Converged roots are filtered to the window, required to satisfy the residual
+    tolerance, deduplicated greedily in residual order (a root within DEDUP_RADIUS of a
+    kept one is dropped; O(n log n) in the n candidates), and assigned a band by
+    real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -267,9 +269,12 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     im_scale = 1.0 / (2.0 * cell.b2 * cell.x2)
     # the four deep rungs track the one-cell depth scale; the k-scaled
     # shallow rungs keep the near-edge roots, whose depth shrinks like
-    # 1/k^2, inside the Newton basin.  A set, not np.unique, which imports
-    # numpy.ma; at k = 10, 2/k^2 is the 0.02 rung.
-    rungs = {0.02, 0.1, 0.3, 0.7, *(c / (k * k) for c in (2.0, 0.6, 0.2))}
+    # 1/k^2, inside the Newton basin.  The deepest of them starts at k = 1
+    # on the one-cell roots' line ln|d|/(b2 x2), rung -2 ln|d|, where weak
+    # contrast (|d| < 1/e) puts it below rung 2.  A set, not np.unique, which
+    # imports numpy.ma; at k = 10, 2/k^2 is the 0.02 rung.
+    one_cell = max(2.0, -2.0 * math.log(abs(cell.contrast)))
+    rungs = {0.02, 0.1, 0.3, 0.7, *(c / (k * k) for c in (one_cell, 0.6, 0.2))}
     depths = -np.array(sorted(rungs)) * im_scale
 
     re_parts: list[np.ndarray] = []
@@ -280,8 +285,7 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         hi = min(b.hi + margin, window.re_max + margin)
         n = int(math.ceil((hi - lo) / spacing)) + 1
         re_parts.append(np.linspace(lo, hi, n))
-        peaks = perfect_transmission_frequencies(cell, b, k) if k >= 2 else []
-        anchors = np.array([b.lo, b.hi, *peaks])
+        anchors = np.array([b.lo, b.hi, *perfect_transmission_frequencies(cell, b, k)])
         re_parts.append(anchors[anchors <= hi])
     re_pts = np.concatenate(re_parts)
     seeds = (re_pts[:, None] + 1j * depths[None, :]).ravel()
@@ -416,9 +420,9 @@ def convergence_study(cell: UnitCell, band: Band, k_list: list[int],
                       im_floor: float | None = None) -> list[ConvergenceRow]:
     """Depth of the band's resonances as the slab grows.
 
-    For each k the full resonance set over the band window is computed (k = 1 by the closed
-    form) and the extreme imaginary parts recorded; max_im must climb toward zero as k
-    increases.  A two-step cell's band must be whole, edges at |F| = 1 (BandMismatchError).
+    For each k, k = 1 included, ``find_resonances`` searches the band window and the extreme
+    imaginary parts are recorded; max_im must climb toward zero as k increases.  A two-step
+    cell's band must be whole, edges at |F| = 1 (BandMismatchError).
     """
     for k in k_list:
         _cell_count(k)
@@ -429,14 +433,9 @@ def convergence_study(cell: UnitCell, band: Band, k_list: list[int],
     if im_floor is None:
         im_floor = default_im_floor(cell)
     pad = 1e-6 + 1e-3 * band.width
-    lo, hi = max(band.lo - pad, 0.0), band.hi + pad
-    window = Window(lo, hi, im_floor)  # checked once, for k = 1 too
+    window = Window(max(band.lo - pad, 0.0), band.hi + pad, im_floor)  # checked before any k
     rows = []
     for k in k_list:
-        if k == 1:
-            found = [r for r in resonances_k1(cell, hi, lo) if r.lam.imag >= im_floor]
-        else:
-            found = find_resonances(cell, k, window)
-        ims = [r.lam.imag for r in found]
+        ims = [r.lam.imag for r in find_resonances(cell, k, window)]
         rows.append(ConvergenceRow(k, len(ims), max(ims, default=None), min(ims, default=None)))
     return rows

@@ -134,14 +134,14 @@ def transmission_sq(cell: UnitCell, lam, k: int):
 
 def perfect_transmission_frequencies(cell: UnitCell, band: Band, k: int) -> list[float]:
     """The k-1 in-band frequencies of unit transmission, plus any one-cell
-    transparency frequency that falls inside the band.
+    transparency frequency that falls inside the band, for every k >= 1.
 
     The k-1 roots solve U_{k-1}(F(lam)) = 0, i.e. F(lam) = cos(m*pi/k) for
     m = 1..k-1 on the band where F is monotone between -1 and +1; all are
-    located by one bisection over the array of targets.
+    located by one bisection over the array of targets.  U_0 = 1 has no
+    zeros, so at k = 1 only the transparency frequencies remain.
     """
-    if _cell_count(k) < 2:
-        raise ValueError(f"need at least two cells, got k={k}")
+    _cell_count(k)
     f_lo, f_hi = _validate_band(cell, band)
     target = np.cos(np.arange(1, k) * math.pi / k)
     target = target[(f_lo - target) * (f_hi - target) <= 0.0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stepslab import ChainDeterminants, UnitCell, lyapunov
+from stepslab import ChainDeterminants, UnitCell, lyapunov, resonances_k1
 
 try:
     from hypothesis import settings
@@ -63,6 +63,32 @@ DEPTH_A1 = math.log(0.6) / 0.8
 #: A cell whose default search floor -1/(b2 x2) is Im = -20: deep in the lower
 #: half plane, where the one-cell monodromy entries cancel.
 DEEP = UnitCell(4.557477135240766, 0.5, 0.1)
+
+
+def random_cells(seed: int, n: int) -> list[UnitCell]:
+    """n cells drawn from one seed, b1 and b2 uniform in [0.5, 5] and x2 in [0.1, 0.9];
+    b1 close to b2 gives weak contrast and one-cell roots far below the default floor."""
+    rng = np.random.default_rng(seed)
+    return [UnitCell(*rng.uniform(0.5, 5.0, 2), rng.uniform(0.1, 0.9)) for _ in range(n)]
+
+
+def closed_form_k1_row(cell: UnitCell, band, im_floor: float) -> tuple[str, str, str, str]:
+    """The k = 1 row of a convergence study as the CLI prints it (k, count, max_im,
+    min_im; %.12g, an empty field for no root), from ``resonances_k1`` over the study's
+    window: the band padded by 1e-6 + 1e-3 width, down to im_floor."""
+    pad = 1e-6 + 1e-3 * band.width
+    ims = [r.lam.imag for r in resonances_k1(cell, band.hi + pad, max(band.lo - pad, 0.0))
+           if r.lam.imag >= im_floor]
+    extremes = ("%.12g" % f(ims) if ims else "" for f in (max, min))
+    return ("1", str(len(ims)), *extremes)
+
+
+def lyapunov_curvature(cell: UnitCell, lam):
+    """d2F/dlam2, analytically differentiated: the reference for the curvature at
+    degenerate band edges."""
+    tt, ts = cell.transit_time, cell.transit_skew
+    return 0.5 * (-cell.mismatch_plus_one * tt * tt * np.cos(lam * tt)
+                  + cell.mismatch_minus_one * ts * ts * np.cos(lam * ts))
 
 
 def mp_slab(mp, cell: UnitCell, lam, k: int):

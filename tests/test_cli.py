@@ -3,11 +3,11 @@ import math
 
 import pytest
 
-from stepslab import cli
+from stepslab import UnitCell, cli, default_im_floor, find_bands
 from stepslab.cli import build_parser, main
 from stepslab.errors import ContourThroughZeroError, StepslabError
 
-from conftest import DEPTH_A1, EDGE_A3
+from conftest import DEPTH_A1, EDGE_A3, closed_form_k1_row, random_cells
 
 CELL_A = ["--b1", "1", "--b2", "4", "--x2", "0.2"]
 
@@ -199,13 +199,26 @@ def test_converge_single_k(capsys):
     assert len(rows) == 1
 
 
-def test_converge_k1_uses_closed_form(capsys):
+def test_converge_k1_row_equals_closed_form(capsys):
+    # the printed k = 1 row is the closed form's, at the default floor and at 4x the
+    # one-cell depth, in the first two whole bands
     code, out, _ = _run(capsys, ["converge", *CELL_A, "--k-list", "1,4"])
     assert code == 0
     _, rows = _rows(out)
-    assert rows[0]["k"] == "1"
-    assert int(rows[0]["count"]) >= 1
+    assert rows[0]["k"] == "1" and rows[0]["count"] == "1"
     assert float(rows[0]["max_im"]) == pytest.approx(DEPTH_A1, abs=1e-9)
+    cells = (UnitCell(1.0, 4.0, 0.2), UnitCell(1.0, 3.8, 0.2), UnitCell(3.8, 1.0, 0.8),
+             *random_cells(5, 8))
+    for cell in cells:
+        argv = ["converge", "--b1", str(float(cell.b1)), "--b2", str(float(cell.b2)),
+                "--x2", str(float(cell.x2)), "--lambda-max", "8", "--k-list", "1"]
+        deep = float(4.0 * math.log(abs(cell.contrast)) / (cell.b2 * cell.x2))
+        for band in [b for b in find_bands(cell, 8.0) if b.hi_type is not None][:2]:
+            for floor, flag in ((default_im_floor(cell), []), (deep, [f"--im-min={deep!r}"])):
+                code, out, _ = _run(capsys, [*argv, "--band-index", str(band.index), *flag])
+                _, rows = _rows(out)
+                assert code == 0 and len(rows) == 1
+                assert tuple(rows[0].values()) == closed_form_k1_row(cell, band, floor), argv
 
 
 def test_converge_requires_k_list(capsys):
@@ -369,6 +382,12 @@ def test_invalid_settings_exit_2_and_preconditions_exit_3(capsys):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.strip()
+    # the library checks the cell count and the window order, as for any caller
+    for argv, message in ((["transmission", *CELL_A, "--k", "0"],
+                           "cell count must be a positive integer, got 0"),
+                          (["resonances", *CELL_A, "--re-min", "3", "--re-max", "2"],
+                           "window ill ordered: [3.0, 2.0]")):
+        assert message in _run(capsys, argv)[2]
     code, _, err = _run(capsys, ["fixed-points", "--b1", "2", "--b2", "2", "--x2", "0.3"])
     assert code == 3
     assert "two-step" in err

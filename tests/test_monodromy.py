@@ -6,12 +6,11 @@ import pytest
 
 from stepslab import (EdgeDegeneracyError, EdgeType, FixedPointKind,
                       InvalidRangeError, Regime, UnitCell, bloch, find_bands,
-                      fixed_points, lyapunov, lyapunov_curvature,
-                      lyapunov_derivative, monodromy, spectral_period,
-                      transfer_power)
+                      fixed_points, lyapunov, lyapunov_derivative, monodromy,
+                      spectral_period, transfer_power)
 from stepslab.monodromy import _band_offset, _bisect, chebyshev_pair
 
-from conftest import DEEP, EDGE_A1, EDGE_A2, EDGE_A3
+from conftest import DEEP, EDGE_A1, EDGE_A2, EDGE_A3, lyapunov_curvature
 
 
 def _random_lams(rng, n, re=(0.05, 8.0), im=(-1.0, 1.0)):

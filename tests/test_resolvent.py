@@ -19,9 +19,14 @@ from stepslab import (BandMismatchError, ContourThroughZeroError, DeterminantOve
                       reflection_via_q, resonances_k1, spectral_period)
 import stepslab
 from stepslab import resolvent
+from stepslab.cli import _fmt
 
 from conftest import (DEEP, DEPTH_A1, EDGE_A3, chain_recurrence, chain_reflection,
-                      den_winding)
+                      closed_form_k1_row, den_winding, random_cells)
+
+#: Seeded random cells.  Nine have their one-cell roots below the default floor,
+#: three of them (|d| = 0.0016, 0.012 and 6e-4) 4.4 to 7.5 times as deep.
+RANDOM_CELLS = random_cells(5, 20)
 
 
 def test_q_base_case(cell_a):
@@ -198,6 +203,18 @@ def test_newton_matches_one_cell_closed_form(cell_a):
         assert abs(a.lam - b.lam) <= 1e-8
 
 
+@pytest.mark.parametrize("cell", RANDOM_CELLS)
+def test_k1_search_returns_closed_form_roots(cell):
+    # convergence_study's k = 1 row rests on this search; the weak-contrast cells' roots
+    # lie far below the default floor, so the window reaches 4x the one-cell depth
+    depth = math.log(abs(cell.contrast)) / (cell.b2 * cell.x2)
+    closed = resonances_k1(cell, 8.0)
+    found = find_resonances(cell, 1, Window(0.0, 8.0, 4.0 * depth))
+    assert len(found) == len(closed) >= 1
+    for a, b in zip(closed, found):
+        assert abs(a.lam - b.lam) <= 1e-9
+
+
 def test_resonance_counts_and_localization(cell_a):
     bands = find_bands(cell_a, 4.0)
     for k in (2, 3):
@@ -229,9 +246,7 @@ def test_reference_cells_complete_at_large_k(cell_a, cell_b, cell_c, k):
 
 @pytest.mark.parametrize("k", [8, 32])
 def test_random_cells_complete(k):
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        cell = UnitCell(*rng.uniform(0.5, 5.0, 2), rng.uniform(0.1, 0.9))
+    for cell in random_cells(7, 8):
         counts = _complete_band_counts(cell, k, 4.0)
         assert all(n in (k - 1, k) for n in counts.values()), (cell, counts)
 
@@ -461,19 +476,25 @@ def test_convergence_study_rows(cell_a):
         convergence_study(cell_a, band, [4, 1])
     with pytest.raises(ValueError):
         convergence_study(cell_a, band, [8, 4])
-    for k_list in ([1], [4]):  # the window is checked before any k, the closed form's too
+    for k_list in ([1], [4]):  # the window is checked before any k is searched
         with pytest.raises(InvalidRangeError):
             convergence_study(cell_a, band, k_list, im_floor=math.nan)
     with pytest.raises(BandMismatchError):  # band 3 clipped at 4: its window misses roots
         convergence_study(cell_a, find_bands(cell_a, 4.0)[2], [4, 8])
 
 
-def test_convergence_study_k1_uses_closed_form(cell_a):
-    band = find_bands(cell_a, 4.0)[0]
-    row = convergence_study(cell_a, band, [1, 4])[0]
-    closed = [r for r in resonances_k1(cell_a, band.hi) if r.lam.imag >= default_im_floor(cell_a)]
-    assert row.k == 1 and row.count == len(closed) >= 1
+def test_convergence_study_k1_row_equals_closed_form(cell_a, cell_b, cell_c):
+    # the k = 1 row comes from find_resonances; to 12 digits it is the closed form's, at the
+    # default floor and at 4x the one-cell depth, in the first three whole bands
+    row = convergence_study(cell_a, find_bands(cell_a, 4.0)[0], [1, 4])[0]
+    assert row.k == 1 and row.count == 1
     assert row.max_im == pytest.approx(DEPTH_A1, abs=1e-12)
+    for cell in (cell_a, cell_b, cell_c, *RANDOM_CELLS):
+        depth = math.log(abs(cell.contrast)) / (cell.b2 * cell.x2)
+        for band in [b for b in find_bands(cell, 8.0) if b.hi_type is not None][:3]:
+            for floor in (default_im_floor(cell), 4.0 * depth):
+                row = convergence_study(cell, band, [1], im_floor=floor)[0]
+                assert tuple(map(_fmt, row)) == closed_form_k1_row(cell, band, floor), cell
 
 
 def test_convergence_study_homogeneous(uniform):
@@ -582,10 +603,8 @@ def test_stall_stop_keeps_reference_roots(cell_a, cell_b, cell_c, k, monkeypatch
 
 @pytest.mark.parametrize("k", [2, 8, 32])
 def test_stall_stop_keeps_random_cell_roots(k, monkeypatch):
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        _stall_stop_agrees(UnitCell(*rng.uniform(0.5, 5.0, 2), rng.uniform(0.1, 0.9)), k,
-                           monkeypatch)
+    for cell in random_cells(7, 8):
+        _stall_stop_agrees(cell, k, monkeypatch)
 
 
 @pytest.mark.parametrize("k", [8, 16])

@@ -95,7 +95,7 @@ def test_perfect_transmission_includes_interior_transparency(cell_b):
         assert all(transmission_sq(cell_b, f, k) > 1.0 - 1e-9 for f in freqs)
 
 
-def test_perfect_transmission_validates_band(cell_a):
+def test_perfect_transmission_validates_band(cell_a, cell_b, cell_c):
     with pytest.raises(BandMismatchError, match="edges"):
         perfect_transmission_frequencies(
             cell_a, Band(1.3, 2.0, EdgeType.NONDEGENERATE, EdgeType.NONDEGENERATE, 1), 3)
@@ -110,9 +110,18 @@ def test_perfect_transmission_validates_band(cell_a):
     gap = Band(bands[0].hi, bands[1].lo, EdgeType.NONDEGENERATE, EdgeType.NONDEGENERATE, 1)
     with pytest.raises(BandMismatchError, match="midpoint"):
         perfect_transmission_frequencies(cell_a, gap, 3)
-    with pytest.raises(ValueError):
-        perfect_transmission_frequencies(cell_a, find_bands(cell_a, 4.0)[0], 1)
-    for k in (2.5, True):
+    # k = 1: U_0 has no zeros, so only the one-cell transparency frequencies inside the
+    # band remain, where |t_1|^2 = 1; A's, at m pi/0.8, are degenerate band edges
+    for cell, index, want in ((cell_b, 3, [math.pi / 0.76]), (cell_c, 2, [math.pi / 0.8])):
+        band = find_bands(cell, 8.0)[index - 1]
+        found = perfect_transmission_frequencies(cell, band, 1)
+        assert found == [lam0 for lam0 in transparency_frequencies(cell, band.hi)
+                         if lam0 > band.lo] == pytest.approx(want, abs=1e-12)
+        for lam0 in found:
+            assert transmission_sq(cell, lam0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert all(perfect_transmission_frequencies(cell_a, band, 1) == []
+               for band in find_bands(cell_a, 8.0) if band.hi_type is not None)
+    for k in (0, 2.5, True):
         with pytest.raises(ValueError, match="cell count"):
             perfect_transmission_frequencies(cell_a, find_bands(cell_a, 4.0)[0], k)
 
