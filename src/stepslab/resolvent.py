@@ -26,7 +26,7 @@ from .monodromy import Band, _cell_count, find_bands
 from .scattering import (_blockwise, _quotient, _slab_terms, _validate_band,
                          perfect_transmission_frequencies, reflection_k)
 
-#: A converged root must satisfy |d*Q - 1| below this.
+#: A converged root must satisfy |d*Q - 1| below this (or 16 eps/d^2 if |d| < 0.006).
 RESIDUAL_TOL = 1e-10
 
 #: Distinct roots closer than this (absolute, in lambda) are merged.
@@ -191,18 +191,24 @@ def _resonance_condition(cell: UnitCell, lam, k: int):
         return (d * d - 1.0) * den / (den - d * num), den / dden
 
 
+def _residual_tol(cell: UnitCell) -> float:
+    """max(RESIDUAL_TOL, 16 eps/d^2): h = (d^2 - 1) den/(den - d num) carries den's rounding
+    over den - d num, of order d^2 at a root, so weak contrast meets RESIDUAL_TOL by chance."""
+    return max(RESIDUAL_TOL, 16.0 * np.finfo(float).eps / cell.contrast ** 2)
+
+
 def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
     """Vectorized Newton on den, the entire denominator of r_k, with two stops.
 
     Each step takes den/den' and the residual h = d Q - 1 from one kernel
     call (``_resonance_condition``), so the poles of h (the zeros of
     den - d num) do not scatter the runs.  Runs whose step is not finite
-    are dropped.  A run stops one polishing step after it meets RESIDUAL_TOL,
-    which drives the residual toward machine level.  Short of it, a run stalls
+    are dropped.  A run stops one polishing step after it meets ``_residual_tol``, which
+    drives the residual toward its rounding level.  Short of it, a run stalls
     once _STALL_STEPS steps in a row have not brought |h| below half its best
     so far, and stops there or at _NEWTON_MAX_ITER with its last iterate.
     """
-    z = seeds.astype(complex).copy()
+    z, tol = seeds.astype(complex), _residual_tol(cell)
     h, step = _resonance_condition(cell, z, k)
     alive = np.isfinite(step)
     iters = np.zeros(z.shape, dtype=int)
@@ -222,7 +228,7 @@ def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
         iters[good] = it
         alive[idx[~ok]] = False
         size = np.abs(hnew[ok])
-        hit = good[size <= RESIDUAL_TOL]
+        hit = good[size <= tol]
         polish[hit] += 1
         # freeze only after one extra step past the tolerance
         alive[hit[polish[hit] >= 2]] = False
@@ -242,19 +248,18 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     less than 2 pi/tau apart: F' = ((rho-1) s sin(lam s) - (rho+1) tau sin(lam tau))/2 has
     the sign of -sin(lam tau) at lam tau = (n + 1/2) pi, as (rho+1) tau > (rho-1) |s|, so
     it vanishes in every interval of length pi/tau.  Newton seeds form a rectangular grid.
-    Real parts sample each band (plus small edge margins) at spacing width/(4k) and are
-    anchored, at every k, at the band edges and the perfect-transmission frequencies (at
-    k = 1 the in-band transparency frequencies), right above the resonances, so the
-    shallow near-edge roots do not slip between grid points as k grows; seeds stop at the
-    window's end plus the margin.  Imaginary parts use the ladder
-    {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled rungs, whose deepest reaches the
-    one-cell roots at k = 1.  All seeds run Newton together on the entire slab denominator
-    den, each step one kernel evaluation of den/den' and of the residual |d Q - 1|; a run
-    that stalls (no halving of its best residual in _STALL_STEPS steps) stops early.
-    Converged roots are filtered to the window, required to satisfy the residual
-    tolerance, deduplicated greedily in residual order (a root within DEDUP_RADIUS of a
-    kept one is dropped; O(n log n) in the n candidates), and assigned a band by
-    real-part membership.
+    Its real parts are each band's markers: the two edges and the k - 1 perfect-transmission
+    frequencies (at k = 1 the in-band transparency frequencies), which sit right above the
+    resonances, and the midpoint of every pair of neighbouring markers, about 2k + 1 per
+    band; they stop at the window's end plus max(width/(4k), width/50).  Imaginary parts
+    use the ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled rungs, whose deepest
+    reaches the one-cell roots at k = 1.  All seeds run Newton together on the entire slab
+    denominator den, each step one kernel evaluation of den/den' and of the residual
+    |d Q - 1|; a run that stalls (no halving of its best residual in _STALL_STEPS steps)
+    stops early.  Converged roots are filtered to the window and the cell's residual
+    tolerance (``_residual_tol``), deduplicated greedily in residual order (a root within
+    DEDUP_RADIUS of a kept one is dropped; O(n log n) in the n candidates), and assigned a
+    band by real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -279,14 +284,9 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
 
     re_parts: list[np.ndarray] = []
     for b in bands_in:
-        spacing = b.width / (4.0 * k)
-        margin = max(spacing, 0.02 * b.width)
-        lo = max(b.lo - margin, 0.0)
-        hi = min(b.hi + margin, window.re_max + margin)
-        n = int(math.ceil((hi - lo) / spacing)) + 1
-        re_parts.append(np.linspace(lo, hi, n))
-        anchors = np.array([b.lo, b.hi, *perfect_transmission_frequencies(cell, b, k)])
-        re_parts.append(anchors[anchors <= hi])
+        marks = np.array([b.lo, *perfect_transmission_frequencies(cell, b, k), b.hi])
+        marks = np.concatenate([marks, 0.5 * (marks[:-1] + marks[1:])])
+        re_parts.append(marks[marks <= window.re_max + b.width * max(0.25 / k, 0.02)])
     re_pts = np.concatenate(re_parts)
     seeds = (re_pts[:, None] + 1j * depths[None, :]).ravel()
 
@@ -294,7 +294,7 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
 
     order = np.argsort(resid, kind="stable")
     z = roots[order]
-    inside = ((resid[order] <= RESIDUAL_TOL) & (z.imag < _IM_CEILING)
+    inside = ((resid[order] <= _residual_tol(cell)) & (z.imag < _IM_CEILING)
               & (z.imag >= window.im_min - 1e-9)
               & (z.real >= window.re_min - 1e-9) & (z.real <= window.re_max + 1e-9))
     kept: list[tuple[complex, float, int, complex]] = []

@@ -269,8 +269,8 @@ def test_window_just_below_an_edge_keeps_peak_anchors(cell_a, cell_b, cell_c):
 
 
 def test_window_ending_mid_band_keeps_its_roots(cell_a, cell_b, cell_c):
-    # the window cuts band 2 in the middle; seeded as the whole band (grid spacing, peak
-    # anchors), it holds the full window's roots below the cut at k = 128, near-edge ones too
+    # the window cuts band 2 in the middle; seeded as the whole band (edges, peaks and their
+    # midpoints), it holds the full window's roots below the cut at k = 128, near-edge ones too
     k = 128
     for cell in (cell_a, cell_b, cell_c):
         band = find_bands(cell, 4.0)[1]
@@ -359,6 +359,20 @@ def test_audit_matches_denominator_winding(cell_a, cell_b, cell_c):
                 assert audit_count(cell, k, band) == den_winding(cell, k, *rect)
         wide = (0.1, 16.0, default_im_floor(cell), -1e-9)
         assert count_zeros_rectangle(cell, 16, *wide) == den_winding(cell, 16, *wide)
+
+
+@pytest.mark.parametrize("k", [32, 64])
+def test_weak_contrast_band_complete_by_winding(k):
+    # d = 5.8e-4: the residual's rounding level is about eps/d^2, so a fixed 1e-10 on it
+    # drops one band-3 root at k = 32 and one at k = 64; the rectangle runs from the
+    # middle of gap 2-3 to the middle of gap 3-4
+    cell = UnitCell(3.7302546077730416, 3.7345694226238706, 0.7804410078050841)
+    below, band, above = find_bands(cell, 4.0 * math.pi / cell.transit_time)[1:4]
+    floor = default_im_floor(cell)
+    found = find_resonances(cell, k, Window(0.0, band.hi, floor))
+    rect = (0.5 * (below.hi + band.lo), 0.5 * (band.hi + above.lo), floor, band.width / k)
+    assert (sum(r.band_index == band.index for r in found) == count_zeros_rectangle(cell, k, *rect)
+            == den_winding(cell, k, *rect) == k)
 
 
 def test_audit_counts_near_edge_clusters(cell_a, cell_b, cell_c, monkeypatch):
@@ -620,8 +634,8 @@ def test_stall_stop_keeps_weak_contrast_roots(k, monkeypatch):
 
 def test_stall_stop_cuts_kernel_work(cell_a, monkeypatch):
     # A at k = 128: 291 915 kernel points when every run goes to the cap or the
-    # tolerance, 152 552 with the stall stop, and 113 120 with band 3, which the
-    # window cuts 0.073 after its start, seeded at its full width/(4k)
+    # tolerance, and 48 628 with the stall stop, each band seeded at its edges, its
+    # k - 1 transmission peaks and the midpoints between them
     condition, points = resolvent._resonance_condition, [0]
 
     def counted(cell, lam, k):
@@ -629,4 +643,4 @@ def test_stall_stop_cuts_kernel_work(cell_a, monkeypatch):
         return condition(cell, lam, k)
     monkeypatch.setattr(resolvent, "_resonance_condition", counted)
     find_resonances(cell_a, 128, Window(0.0, 4.0, default_im_floor(cell_a)))
-    assert 0 < points[0] <= 125_000
+    assert 0 < points[0] <= 55_000
