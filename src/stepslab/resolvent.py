@@ -26,7 +26,7 @@ from .monodromy import Band, _cell_count, find_bands
 from .scattering import (_blockwise, _quotient, _slab_terms, _validate_band,
                          perfect_transmission_frequencies, reflection_k)
 
-#: A converged root must satisfy |d*Q - 1| below this (or 16 eps/d^2 if |d| < 0.006).
+#: A converged root must satisfy |d*Q - 1| below this (see ``_converged``).
 RESIDUAL_TOL = 1e-10
 
 #: Distinct roots closer than this (absolute, in lambda) are merged.
@@ -191,10 +191,13 @@ def _resonance_condition(cell: UnitCell, lam, k: int):
         return (d * d - 1.0) * den / (den - d * num), den / dden
 
 
-def _residual_tol(cell: UnitCell) -> float:
-    """max(RESIDUAL_TOL, 16 eps/d^2): h = (d^2 - 1) den/(den - d num) carries den's rounding
-    over den - d num, of order d^2 at a root, so weak contrast meets RESIDUAL_TOL by chance."""
-    return max(RESIDUAL_TOL, 16.0 * np.finfo(float).eps / cell.contrast ** 2)
+def _converged(cell: UnitCell, h, step):
+    """|h| <= RESIDUAL_TOL, or |h| <= 16 eps/d^2 with a step |den/den'| <= DEDUP_RADIUS/1000.
+    h = (d^2 - 1) den/(den - d num) carries den's rounding over den - d num, of order d^2 at
+    a root, so weak contrast meets RESIDUAL_TOL by chance.  The step bound turns away runs
+    that meet the floor off a root and keeps two copies of one root within DEDUP_RADIUS."""
+    floor = (np.abs(step) <= 1e-3 * DEDUP_RADIUS) * 16.0 * np.finfo(float).eps / cell.contrast**2
+    return np.abs(h) <= np.fmax(RESIDUAL_TOL, floor)
 
 
 def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
@@ -203,12 +206,13 @@ def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
     Each step takes den/den' and the residual h = d Q - 1 from one kernel
     call (``_resonance_condition``), so the poles of h (the zeros of
     den - d num) do not scatter the runs.  Runs whose step is not finite
-    are dropped.  A run stops one polishing step after it meets ``_residual_tol``, which
+    are dropped.  A run stops one polishing step after it meets ``_converged``, which
     drives the residual toward its rounding level.  Short of it, a run stalls
     once _STALL_STEPS steps in a row have not brought |h| below half its best
-    so far, and stops there or at _NEWTON_MAX_ITER with its last iterate.
+    so far, and stops there or at _NEWTON_MAX_ITER with its last iterate.  Returns the
+    iterates, their |h| (inf where ``_converged`` fails) and their step counts.
     """
-    z, tol = seeds.astype(complex), _residual_tol(cell)
+    z = seeds.astype(complex)
     h, step = _resonance_condition(cell, z, k)
     alive = np.isfinite(step)
     iters = np.zeros(z.shape, dtype=int)
@@ -228,16 +232,14 @@ def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
         iters[good] = it
         alive[idx[~ok]] = False
         size = np.abs(hnew[ok])
-        hit = good[size <= tol]
+        hit = good[_converged(cell, hnew[ok], snew[ok])]
         polish[hit] += 1
         # freeze only after one extra step past the tolerance
         alive[hit[polish[hit] >= 2]] = False
         stall[good] = np.where(size < 0.5 * best[good], 0, stall[good] + 1)
         best[good] = np.fmin(best[good], size)
         alive[good[(stall[good] >= _STALL_STEPS) & (polish[good] == 0)]] = False
-    resid = np.abs(h)
-    resid[~np.isfinite(resid)] = np.inf
-    return z, resid, iters
+    return z, np.where(_converged(cell, h, step), np.abs(h), np.inf), iters
 
 
 def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
@@ -251,15 +253,14 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     Its real parts are each band's markers: the two edges and the k - 1 perfect-transmission
     frequencies (at k = 1 the in-band transparency frequencies), which sit right above the
     resonances, and the midpoint of every pair of neighbouring markers, about 2k + 1 per
-    band; they stop at the window's end plus max(width/(4k), width/50).  Imaginary parts
-    use the ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled rungs, whose deepest
-    reaches the one-cell roots at k = 1.  All seeds run Newton together on the entire slab
+    band; they stop at the first marker past the window's end.  Imaginary parts use the
+    ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled rungs, whose deepest reaches
+    the one-cell roots at k = 1.  All seeds run Newton together on the entire slab
     denominator den, each step one kernel evaluation of den/den' and of the residual
     |d Q - 1|; a run that stalls (no halving of its best residual in _STALL_STEPS steps)
-    stops early.  Converged roots are filtered to the window and the cell's residual
-    tolerance (``_residual_tol``), deduplicated greedily in residual order (a root within
-    DEDUP_RADIUS of a kept one is dropped; O(n log n) in the n candidates), and assigned a
-    band by real-part membership.
+    stops early.  Converged roots (``_converged``) are filtered to the window,
+    deduplicated greedily in residual order (a root within DEDUP_RADIUS of a kept one is
+    dropped; O(n log n) in the n candidates), and assigned a band by real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -285,16 +286,15 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     re_parts: list[np.ndarray] = []
     for b in bands_in:
         marks = np.array([b.lo, *perfect_transmission_frequencies(cell, b, k), b.hi])
-        marks = np.concatenate([marks, 0.5 * (marks[:-1] + marks[1:])])
-        re_parts.append(marks[marks <= window.re_max + b.width * max(0.25 / k, 0.02)])
-    re_pts = np.concatenate(re_parts)
-    seeds = (re_pts[:, None] + 1j * depths[None, :]).ravel()
+        marks = np.sort(np.concatenate([marks, 0.5 * (marks[:-1] + marks[1:])]))
+        re_parts.append(marks[:np.searchsorted(marks, window.re_max, "right") + 1])
+    seeds = (np.concatenate(re_parts)[:, None] + 1j * depths[None, :]).ravel()
 
     roots, resid, iters = _newton_batch(cell, k, seeds)
 
     order = np.argsort(resid, kind="stable")
     z = roots[order]
-    inside = ((resid[order] <= _residual_tol(cell)) & (z.imag < _IM_CEILING)
+    inside = (np.isfinite(resid[order]) & (z.imag < _IM_CEILING)
               & (z.imag >= window.im_min - 1e-9)
               & (z.real >= window.re_min - 1e-9) & (z.real <= window.re_max + 1e-9))
     kept: list[tuple[complex, float, int, complex]] = []

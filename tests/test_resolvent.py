@@ -375,6 +375,29 @@ def test_weak_contrast_band_complete_by_winding(k):
             == den_winding(cell, k, *rect) == k)
 
 
+@pytest.mark.parametrize("k", [8, 16])
+def test_weakest_contrast_holds_at_most_k_roots_per_band(k):
+    # |d| = 5e-6 puts the residual floor 16 eps/d^2 at 1.4e-4, where runs that have not
+    # converged read below it 1e-6 from a root; only a step within DEDUP_RADIUS/1000 lets
+    # a run in at the floor, or band 1 holds 11 roots at k = 8
+    cell = UnitCell(1.0, 1.00001, 0.3)
+    found = find_resonances(cell, k, Window(0.0, 4.0, default_im_floor(cell)))
+    assert found and max(collections.Counter(r.band_index for r in found).values()) <= k
+
+
+@pytest.mark.xfail(strict=True, reason="band 4 loses converged roots whose |h| reads just "
+                   "above RESIDUAL_TOL (ROADMAP item 2)")
+def test_band_complete_when_residual_rounds_above_tolerance():
+    # the root 3.2174662949840793 - 3.14e-7i has converged (step 6e-17 to 3e-16), but h
+    # reads 9.0e-11 to 4.4e-10 with the last bit of lam; the search returns 125 of the
+    # winding's 127 band-4 roots (gap midpoints, down to -0.05, the roots lie above -6e-4)
+    cell, k = UnitCell(4.557, 0.5, 0.3), 128
+    below, band, above = find_bands(cell, 6.0)[2:5]
+    found = find_resonances(cell, k, Window(0.0, 6.0, default_im_floor(cell)))
+    rect = (0.5 * (below.hi + band.lo), 0.5 * (band.hi + above.lo), -0.05, band.width / k)
+    assert sum(r.band_index == band.index for r in found) == count_zeros_rectangle(cell, k, *rect)
+
+
 def test_audit_counts_near_edge_clusters(cell_a, cell_b, cell_c, monkeypatch):
     # shallow roots crowd the band edges at large k; a flat start grid of
     # 256 points per side counts 48/46/47 at k = 48.  They lie about k^-3 below
