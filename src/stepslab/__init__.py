@@ -23,8 +23,8 @@ from .mobius import (FixedPointAnalysis, FixedPointKind, IterateResult,
 from .monodromy import (Band, BlochData, EdgeType, MonodromyMatrix, Regime,
                         bloch, find_bands, lyapunov, lyapunov_derivative,
                         monodromy, transfer_power)
-from .resolvent import (ChainDeterminants, ConvergenceRow, Resonance, Window,
-                        audit_count, chain_determinants, convergence_study,
+from .resolvent import (ConvergenceRow, Resonance, Window, audit_count,
+                        chain_determinants, convergence_study,
                         count_zeros_rectangle, default_im_floor,
                         find_resonances, q_recursion, reflection_via_q,
                         resonances_k1)
@@ -41,7 +41,7 @@ __all__ = [
     "bloch", "transfer_power", "find_bands",
     "reflection_k", "transmission_sq", "perfect_transmission_frequencies",
     "reflection_half_infinite",
-    "Window", "Resonance", "ChainDeterminants", "ConvergenceRow",
+    "Window", "Resonance", "ConvergenceRow",
     "q_recursion", "chain_determinants", "resonances_k1",
     "find_resonances", "audit_count", "count_zeros_rectangle",
     "reflection_via_q", "convergence_study", "default_im_floor",

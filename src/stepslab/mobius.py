@@ -61,9 +61,6 @@ class MobiusMap:
         a, b, c, e = self.w
         return (a * z + b) / (c * z + e)
 
-    def __call__(self, z):
-        return self.apply(z)
-
 
 def mobius_map(cell: UnitCell, lam: float) -> MobiusMap:
     """The one-cell update map at a real frequency (commensurate cells only)."""

@@ -5,9 +5,10 @@ continued resolvent, equivalently of the slab reflection coefficient.
 They solve d * Q(lam) = 1 where Q is the terminal value of a bounded
 linear-fractional recursion over the 2k interfaces, and they are the zeros
 of the entire slab denominator den, the root-finding target.  The
-interface-chain determinant, den times a known nonvanishing factor from the
-same O(log k) kernel call, is the argument-principle counter; it grows like
-(b1+b2)^(2k) e^{|Im lam| b1 k} and raises DeterminantOverflowError past 1e300.
+interface-chain determinant (``chain_determinants``), den times a known
+nonvanishing factor from the same O(log k) kernel call, is the
+argument-principle counter; it grows like (b1+b2)^(2k) e^{|Im lam| b1 k} and
+raises DeterminantOverflowError past 1e300.
 """
 
 from __future__ import annotations
@@ -102,48 +103,37 @@ def q_recursion(cell: UnitCell, lam, k: int):
                      lambda: RecursionPoleError(lam, 2 * k))
 
 
-class ChainDeterminants(NamedTuple):
-    value: complex
-    companion: complex
-    peak: float
-
-
 @_blockwise
 def _chain_terms(cell: UnitCell, lam, k: int):
-    """(value, companion) from one kernel call, r_k = num/den with the k-cell scale 2**e:
-    value = -(4 b1 b2)^k e^{i lam b1 k} 2^e den / 2 and
-    companion = (4 b1 b2)^k e^{i lam b1 (2(1 - x2) - k)} 2^e num / 2.  The real scale
-    enters the exponent as a log, so only the finished products can overflow."""
-    b1 = cell.b1
-    num, den, e = _slab_terms(cell, lam, k)
-    log_scale = k * math.log(4.0 * b1 * cell.b2) + (e - 1) * math.log(2.0)
+    """The chain determinant -(4 b1 b2)^k e^{i lam b1 k} 2^e den / 2 from one kernel call,
+    with r_k = num/den and the k-cell scale 2**e.  The real scale enters the exponent as a
+    log, so only the finished product can overflow."""
+    _, den, e = _slab_terms(cell, lam, k)
+    log_scale = k * math.log(4.0 * cell.b1 * cell.b2) + (e - 1) * math.log(2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return (-np.exp(log_scale + 1j * lam * b1 * k) * den,
-                np.exp(log_scale + 1j * lam * b1 * (2.0 * (1.0 - cell.x2) - k)) * num)
+        return -np.exp(log_scale + 1j * lam * cell.b1 * k) * den
 
 
-def chain_determinants(cell: UnitCell, lam, k: int) -> ChainDeterminants:
+def chain_determinants(cell: UnitCell, lam, k: int):
     """Boundary-matching determinant of the (2k+1)-step interface chain.
 
     The chain alternates b1, b2, b1, ..., b1 with interfaces at
     0, x2, 1, 1+x2, ..., k-1, k-1+x2.  The determinant is entire in lam
-    and vanishes exactly at the resonances; the companion determinant
-    drives the two-term recursion.  Both are the slab terms of the O(log k)
-    kernel times known factors (``_chain_terms``).  ``peak`` is
-    max(|value|, |companion|) over the batch, for scale-aware zero tests.
-    Raises when that peak is above 1e300 or not finite (the determinant
-    grows like (b1+b2)^(2k), and like e^{|Im lam| b1 k} below the axis).
+    and vanishes exactly at the resonances: it is the slab denominator den
+    of the O(log k) kernel times a known zero-free factor (``_chain_terms``).
+    Returns a complex for scalar lam and an array otherwise.  Raises when
+    its largest magnitude over the batch is above 1e300 or not finite (the
+    determinant grows like (b1+b2)^(2k), and like e^{|Im lam| b1 k} below
+    the axis).
     """
     lam = np.asarray(lam, dtype=complex)
-    value, companion = _chain_terms(cell, lam, k)
-    peak = max(float(np.max(np.abs(value))), float(np.max(np.abs(companion))))
+    value = _chain_terms(cell, lam, k)
+    peak = float(np.max(np.abs(value)))
     if not math.isfinite(peak) or peak > 1e300:
-        del lam, value, companion  # the error's traceback keeps this frame alive
+        del lam, value  # the error's traceback keeps this frame alive
         raise DeterminantOverflowError(
             f"chain determinant of {k} cells overflows (peak {peak}); use find_resonances")
-    if lam.ndim == 0:
-        return ChainDeterminants(complex(value), complex(companion), peak)
-    return ChainDeterminants(value, companion, peak)
+    return complex(value) if lam.ndim == 0 else value
 
 
 def resonances_k1(cell: UnitCell, re_max: float, re_min: float = 0.0) -> list[Resonance]:
@@ -260,7 +250,7 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     |d Q - 1|; a run that stalls (no halving of its best residual in _STALL_STEPS steps)
     stops early.  Converged roots (``_converged``) are filtered to the window,
     deduplicated greedily in residual order (a root within DEDUP_RADIUS of a kept one is
-    dropped; O(n log n) in the n candidates), and assigned a band by real-part membership.
+    dropped), and assigned a band by real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -297,23 +287,19 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     inside = (np.isfinite(resid[order]) & (z.imag < _IM_CEILING)
               & (z.imag >= window.im_min - 1e-9)
               & (z.real >= window.re_min - 1e-9) & (z.real <= window.re_max + 1e-9))
+    # kept roots binned by real part at twice the radius: one within DEDUP_RADIUS of a
+    # candidate sits in the candidate's bin or a neighbouring one
     kept: list[tuple[complex, float, int, complex]] = []
-    cand = order[inside]
-    # keep the best remaining root and drop all within DEDUP_RADIUS of it, looked up among
-    # the candidates sorted by real part (rank: a candidate's place there); the lookup spans
-    # twice the radius, so no rounding of re +- radius hides a candidate that the distance
-    # test drops
-    perm = np.argsort(roots[cand].real, kind="stable")
-    sorted_z = roots[cand[perm]]
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(perm.size)
-    ends = np.searchsorted(sorted_z.real,
-                           sorted_z.real[rank] + np.array([[-2.0], [2.0]]) * DEDUP_RADIUS)
-    alive = np.ones(cand.size, dtype=bool)
-    for i, r, lo, hi in zip(cand.tolist(), rank.tolist(), *ends.tolist()):
-        if alive[r]:
-            kept.append((complex(roots[i]), float(resid[i]), int(iters[i]), complex(seeds[i])))
-            alive[lo:hi] &= np.abs(sorted_z[lo:hi] - roots[i]) > DEDUP_RADIUS
+    bins: dict[float, list[complex]] = {}
+    cand, z = order[inside], z[inside]
+    for i, lam, key in zip(cand.tolist(), z.tolist(),
+                           np.floor(z.real / (2.0 * DEDUP_RADIUS)).tolist()):
+        for other in [*bins.get(key - 1, ()), *bins.get(key, ()), *bins.get(key + 1, ())]:
+            if abs(lam - other) <= DEDUP_RADIUS:
+                break
+        else:
+            bins.setdefault(key, []).append(lam)
+            kept.append((lam, float(resid[i]), int(iters[i]), complex(seeds[i])))
 
     kept.sort(key=lambda t: (t[0].real, t[0].imag))
     return [Resonance(lam, r, _assign_band(bands, lam.real), it, seed)
@@ -330,17 +316,17 @@ def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
                           im_lo: float, im_hi: float) -> int:
     """Number of resonances in a rectangle by the argument principle.
 
-    Accumulates the phase winding of the entire interface-chain
-    determinant along the rectangle boundary.  The start grid puts
-    max(256, 16 k) points on each side per band period (pi over the
-    transit time) the rectangle spans, which resolves the resonance
-    spacing.  Only the steps whose phase increment is ambiguous (at least
-    pi/2) are then bisected, and only the new midpoints are evaluated,
-    until every step is below pi/2; the total must be within 0.01 of an
-    integer.  Being entire, the determinant has no poles to corrupt the
-    count, unlike the recursion quotient.  A zero on or next to the
-    contour raises ContourThroughZeroError once a step has been halved
-    40 times or the samples exceed 4 * 2**17.
+    Accumulates the phase winding of ``chain_determinants``, the entire
+    interface-chain determinant (den times a zero-free factor), along the
+    rectangle boundary.  The start grid puts max(256, 16 k) points on each
+    side per band period (pi over the transit time) the rectangle spans,
+    which resolves the resonance spacing.  Only the steps whose phase
+    increment is ambiguous (at least pi/2) are then bisected, and only the
+    new midpoints are evaluated, until every step is below pi/2; the total
+    must be within 0.01 of an integer.  Being entire, the determinant has
+    no poles to corrupt the count, unlike the recursion quotient.  A zero
+    on or next to the contour raises ContourThroughZeroError once a step
+    has been halved 40 times or the samples exceed 4 * 2**17.
     """
     if not (re_lo < re_hi and im_lo < im_hi):
         raise InvalidRangeError("contour rectangle is ill ordered")
@@ -358,7 +344,7 @@ def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
 
     pos = np.arange(4 * n + 1, dtype=np.int64) * unit
     try:
-        vals = chain_determinants(cell, at(pos), k).value
+        vals = chain_determinants(cell, at(pos), k)
         while True:
             if np.min(np.abs(vals)) == 0.0:
                 raise ContourThroughZeroError("determinant vanishes on the counting contour")
@@ -371,7 +357,7 @@ def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
                     "phase winding failed to stabilize; a zero lies on or next to the contour")
             mid = (pos[bad] + pos[bad + 1]) // 2
             pos = np.insert(pos, bad + 1, mid)
-            vals = np.insert(vals, bad + 1, chain_determinants(cell, at(mid), k).value)
+            vals = np.insert(vals, bad + 1, chain_determinants(cell, at(mid), k))
     except DeterminantOverflowError:
         pos = vals = steps = bad = mid = None  # the error's traceback keeps this frame alive
         raise

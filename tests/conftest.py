@@ -1,9 +1,10 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from stepslab import ChainDeterminants, UnitCell, lyapunov, resonances_k1
+from stepslab import UnitCell, lyapunov, resonances_k1
 
 try:
     from hypothesis import settings
@@ -114,7 +115,13 @@ def mp_slab(mp, cell: UnitCell, lam, k: int):
     return r, 4 / (abs(num) ** 2 + 4)
 
 
-def chain_recurrence(cell: UnitCell, lam, k: int) -> ChainDeterminants:
+class ChainRecurrence(NamedTuple):
+    value: complex
+    companion: complex
+    peak: float
+
+
+def chain_recurrence(cell: UnitCell, lam, k: int) -> ChainRecurrence:
     """Determinant and companion of the (2k+1)-step interface chain by the plain
     two-term recurrence over its 2k interfaces, sharing no code with the kernel.
 
@@ -142,8 +149,8 @@ def chain_recurrence(cell: UnitCell, lam, k: int) -> ChainDeterminants:
                 raise OverflowError(f"interface chain overflowed at step n={n}")
             peak = max(peak, top)
     if lam.ndim == 0:
-        return ChainDeterminants(complex(det), complex(comp), peak)
-    return ChainDeterminants(det, comp, peak)
+        return ChainRecurrence(complex(det), complex(comp), peak)
+    return ChainRecurrence(det, comp, peak)
 
 
 def chain_reflection(cell: UnitCell, lam, k: int):

@@ -100,10 +100,8 @@ def test_chain_determinants_match_recurrence(cell_a, cell_b, cell_c):
         for k in (1, 2, 3, 7, 20, 40, 64):
             for side in (1.0, -1.0):
                 lams = rng.uniform(0.0, 4.0, 64) + side * 1j * rng.uniform(0.0, 0.5, 64)
-                got, ref = chain_determinants(cell, lams, k), chain_recurrence(cell, lams, k)
-                for a, b in ((got.value, ref.value), (got.companion, ref.companion)):
-                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (cell, k, side)
-                assert got.peak == max(np.max(np.abs(got.value)), np.max(np.abs(got.companion)))
+                got, ref = chain_determinants(cell, lams, k), chain_recurrence(cell, lams, k).value
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (cell, k, side)
 
 
 def test_audit_at_k96_matches_denominator_winding(cell_a, cell_b, cell_c):
@@ -191,8 +189,8 @@ def test_deep_floor_one_cell_root_list():
 
 def test_one_cell_roots_kill_determinant(cell_a):
     for r in resonances_k1(cell_a, 8.0):
-        dets = chain_determinants(cell_a, r.lam, 1)
-        assert abs(dets.value) <= 1e-8 * dets.peak
+        scale = chain_recurrence(cell_a, r.lam, 1).peak
+        assert abs(chain_determinants(cell_a, r.lam, 1)) <= 1e-8 * scale
 
 
 def test_newton_matches_one_cell_closed_form(cell_a):
@@ -375,11 +373,14 @@ def test_weak_contrast_band_complete_by_winding(k):
             == den_winding(cell, k, *rect) == k)
 
 
-@pytest.mark.parametrize("k", [8, 16])
+@pytest.mark.parametrize("k", [8, 16, pytest.param(32, marks=pytest.mark.xfail(
+    strict=True, reason="band 1 holds 38 roots where den winds 32 times (ROADMAP item 2(b))"))])
 def test_weakest_contrast_holds_at_most_k_roots_per_band(k):
     # |d| = 5e-6 puts the residual floor 16 eps/d^2 at 1.4e-4, where runs that have not
     # converged read below it 1e-6 from a root; only a step within DEDUP_RADIUS/1000 lets
-    # a run in at the floor, or band 1 holds 11 roots at k = 8
+    # a run in at the floor, or band 1 holds 11 roots at k = 8.  den rounds to 0 over a
+    # patch about 1e-6 wide around each root, so copies 1e-6 to 1.4e-6 apart survive the
+    # dedup at k = 32
     cell = UnitCell(1.0, 1.00001, 0.3)
     found = find_resonances(cell, k, Window(0.0, 4.0, default_im_floor(cell)))
     assert found and max(collections.Counter(r.band_index for r in found).values()) <= k
@@ -599,14 +600,16 @@ def test_dedup_matches_one_root_loop(cell_a, cell_b, monkeypatch):
         seen["out"] = newton(cell, k, seeds)
         return seen["out"]
     monkeypatch.setattr(resolvent, "_newton_batch", recorded)
+    weakest = UnitCell(1.0, 1.00001, 0.3)  # copies of one root 1e-6 to 1.4e-6 apart
     for cell, k, window in ((cell_b, 24, Window(0.2, 3.5, default_im_floor(cell_b))),
-                            (cell_a, 128, Window(0.0, 4.0, default_im_floor(cell_a)))):
+                            (cell_a, 128, Window(0.0, 4.0, default_im_floor(cell_a))),
+                            (weakest, 16, Window(0.0, 4.0, default_im_floor(weakest)))):
         got = [r.lam for r in find_resonances(cell, k, window)]
         roots, resid, _ = seen["out"]
         candidates, kept = 0, []
         for i in np.argsort(resid, kind="stable"):
             lam = complex(roots[i])
-            if (resid[i] > resolvent.RESIDUAL_TOL or lam.imag >= resolvent._IM_CEILING
+            if (not np.isfinite(resid[i]) or lam.imag >= resolvent._IM_CEILING
                     or not window.im_min - 1e-9 <= lam.imag
                     or not window.re_min - 1e-9 <= lam.real <= window.re_max + 1e-9):
                 continue

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stepslab import (Band, BandMismatchError, BoundaryValueWarning, EdgeType,
-                      EdgeDegeneracyError, PoleProximityError, UnitCell, bloch,
+                      EdgeDegeneracyError, PoleProximityError, Regime, UnitCell, bloch,
                       find_bands, perfect_transmission_frequencies,
                       reflection_half_infinite, reflection_k, resonances_k1,
                       transmission_sq, transparency_frequencies)
@@ -158,6 +158,21 @@ def test_half_infinite_band_interior_warns(cell_a):
 def test_half_infinite_degenerate_edge_raises(cell_a):
     with pytest.raises(EdgeDegeneracyError):
         reflection_half_infinite(cell_a, EDGE_A3)
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, EdgeDegeneracyError),
+                   reason="the edge rule's absolute rounding term reads points next to a "
+                   "tangency of cell A as edges (ROADMAP item 12)")
+@pytest.mark.parametrize("lam", [1e-9, 1e-8, 3e-8, math.pi / 0.8 - 3e-8, math.pi / 0.8 - 1e-8,
+                                 math.pi / 0.8 + 1e-8, math.pi / 0.8 + 3e-8])
+def test_points_next_to_a_tangency_are_band_points(cell_a, lam):
+    # g = |F| - 1 is about -c delta^2 there, below _edge_rule's 4 eps (rho + 1); 5e-8 from 0
+    # and 4e-8 from pi/0.8 both functions already give BAND and the band's |r| = 1/3
+    assert bloch(cell_a, lam).regime is Regime.BAND
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryValueWarning)
+        r = reflection_half_infinite(cell_a, lam)
+    assert abs(abs(r) - 1.0 / 3.0) <= 1e-9
 
 
 def test_half_infinite_near_band_edges_matches_extended_precision(cell_a, cell_b, cell_c):
