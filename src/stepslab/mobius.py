@@ -53,8 +53,6 @@ class MobiusMap:
     """
 
     eta: complex
-    d: float
-    lam: float
     w: tuple[complex, complex, complex, complex]
 
     def apply(self, z):
@@ -74,7 +72,7 @@ def mobius_map(cell: UnitCell, lam: float) -> MobiusMap:
     norm = (1.0 - d * d) * eta
     w = (eta * (eta - d * d) / norm, d * (1.0 - eta) / norm,
          d * eta * (eta - 1.0) / norm, (1.0 - d * d * eta) / norm)
-    return MobiusMap(eta, d, lam, w)
+    return MobiusMap(eta, w)
 
 
 def r1(cell: UnitCell, lam):

@@ -177,12 +177,16 @@ def _band_offset(cell: UnitCell, lam, slope: bool = False):
     return _offset(cell, *_half_angles(cell, lam)[1:], slope)
 
 
-def _offset(cell: UnitCell, lib, half, slope: bool = False):
-    """``_band_offset`` from the half-angle sines and cosines of ``_half_angles``."""
+def _sides(cell: UnitCell, half):
+    """(F - 1, -F - 1) from ``_half_angles``'s half, by the identities of ``_band_offset``."""
     minus, plus = cell.mismatch_minus_one, cell.mismatch_plus_one
     sa, ca, sb, cb = half
-    below = minus * (sb * sb) - plus * (sa * sa)
-    above = minus * (cb * cb) - plus * (ca * ca)
+    return minus * (sb * sb) - plus * (sa * sa), minus * (cb * cb) - plus * (ca * ca)
+
+
+def _offset(cell: UnitCell, lib, half, slope: bool = False):
+    """``_band_offset`` from the half-angle sines and cosines of ``_half_angles``."""
+    below, above = _sides(cell, half)
     if lib is np:
         sign = np.copysign(1.0, np.real(below - above))
         g = np.where(sign > 0.0, below, above)
@@ -192,7 +196,9 @@ def _offset(cell: UnitCell, lib, half, slope: bool = False):
     if not slope:
         return sign, g
     # F' = ((rho-1) skew sin 2b - (rho+1) tau sin 2a) / 2, sin 2x = 2 sin x cos x
-    df = minus * cell.transit_skew * sb * cb - plus * cell.transit_time * sa * ca
+    sa, ca, sb, cb = half
+    df = (cell.mismatch_minus_one * cell.transit_skew * sb * cb
+          - cell.mismatch_plus_one * cell.transit_time * sa * ca)
     return sign, g, sign * df
 
 
@@ -365,59 +371,36 @@ def _bisect(fn, a, b, tol: float):
 def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     """All bands in (0, lambda_max], edges located to 1e-12 and classified.
 
-    On a grid finer than the fastest oscillation of F, the critical points of F are
-    bisected on F' first: tangencies (degenerate edges, where two bands touch) are edges,
-    the other extrema join the grid.  Where F then runs through all of [-1, 1] between two
-    grid points, its zero, bisected on the sign of F, joins the grid too.  Each crossing of
-    |F| = 1 is then a sign change of g = |F| - 1 on that grid, bisected on g, and a band
-    interior has g < 0.  ``_edge_rule`` picks the tangencies and types every edge.
-    lambda = 0 is excluded.  A homogeneous cell has no interfaces and is reported as a
-    single clipped band.
+    At the Bragg frequency n pi/tau, (-1)^n F = ((rho+1) - (rho-1)(-1)^n cos(n pi skew/tau))/2
+    is at least 1, so band n + 1 lies alone in [n pi/tau, (n+1) pi/tau], where (-1)^n F falls
+    from at least 1 to at most -1.  Gap n is open where its side (-1)^n F - 1 (``_sides``) is
+    positive at n pi/tau; its two edges, one in each neighbouring interval, are bisected on
+    that side.  Elsewhere the gap is closed at n pi/tau.  ``_edge_rule`` types every edge.
+    A homogeneous cell has no interfaces and is reported as a single clipped band.
     """
     if not 0.0 < lambda_max < math.inf:
         raise InvalidRangeError(f"lambda_max must be finite and positive, got {lambda_max}")
     if cell.contrast == 0.0:
         return [Band(0.0, lambda_max, EdgeType.DEGENERATE, None, 1)]
 
-    step = min(0.01, (math.pi / cell.transit_time) / 50.0)
-    # the grid runs on to its first point at or past lambda_max, so where lambda_max falls
-    # moves no bracket, and no edge below it
-    xs = step + step * np.arange(int(lambda_max // step) + 1)
-    dfs = lyapunov_derivative(cell, xs)
-    tol = _EDGE_LOCATION_TOL
-    # critical points of F: tangency edges, and extrema the grid may step over
-    i = np.flatnonzero(dfs[:-1] * dfs[1:] < 0.0)
-    lam_c = _bisect(lambda x: lyapunov_derivative(cell, x), xs[i], xs[i + 1], tol)
-    sign_c, g_c, dg_c = _band_offset(cell, lam_c, slope=True)
-    touch = _edge_rule(cell, g_c, dg_c)[1]
-    # F is monotone between points of the grid refined at the extrema
-    at = i[~touch] + 1
-    ss, gs = _band_offset(cell, xs)
-    ss, gs = np.insert(ss, at, sign_c[~touch]), np.insert(gs, at, g_c[~touch])
-    xs = np.insert(xs, at, lam_c[~touch])
-    # F through all of [-1, 1] between two points: add its zero, where g = -1
-    z = np.flatnonzero((ss[:-1] != ss[1:]) & (gs[:-1] > 0.0) & (gs[1:] > 0.0))
-    lam_z = _bisect(lambda x: _band_offset(cell, x)[0], xs[z], xs[z + 1], tol)
-    gs, xs = np.insert(gs, z + 1, -1.0), np.insert(xs, z + 1, lam_z)
-    # crossings of |F| = 1: sign changes of g
-    j = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
-    edges = [_bisect(lambda x: _band_offset(cell, x)[1], xs[j], xs[j + 1], tol), lam_c[touch]]
+    n = np.arange(math.ceil(lambda_max * cell.transit_time / math.pi) + 2)
+    bragg = math.pi / cell.transit_time * n
 
-    edges = sorted(e for e in np.concatenate(edges).tolist() if 0.0 < e < lambda_max)
-    deduped: list[float] = []
-    for e in edges:
-        if not deduped or e - deduped[-1] > 1e-9:
-            deduped.append(e)
+    def side(x, m):  # (-1)^m F - 1
+        return np.where(m % 2 == 1, *_sides(cell, _half_angles(cell, x)[2])[::-1])
 
-    boundaries = [0.0] + deduped + [lambda_max]
-    g_mid = _band_offset(cell, 0.5 * (np.array(boundaries[:-1]) + boundaries[1:]))[1]
+    gap = np.flatnonzero(side(bragg[:-1], n[:-1]) > 0.0)  # open gaps; never at lambda = 0
+    at = np.concatenate([gap, gap])
+    edges = _bisect(lambda x: side(x, at), bragg[np.concatenate([gap - 1, gap])],
+                    bragg[np.concatenate([gap, gap + 1])], _EDGE_LOCATION_TOL)
+    lo, hi = bragg[:-1].copy(), bragg[1:].copy()  # band m + 1 in the m-th Bragg interval
+    hi[gap - 1], lo[gap] = np.split(edges, 2)
+
+    keep = lo < lambda_max
+    lo, hi = lo[keep], np.fmin(hi[keep], lambda_max)
     # None where the rule finds no edge: a band clipped by the scan limit
-    _, g_b, dg_b = _band_offset(cell, np.array(boundaries), slope=True)
+    _, g, dg = _band_offset(cell, np.concatenate([lo, hi]), slope=True)
     types = [EdgeType.DEGENERATE if deg else EdgeType.NONDEGENERATE if edge else None
-             for edge, deg in zip(*_edge_rule(cell, g_b, dg_b))]
-    bands: list[Band] = []
-    for i, (a, b, g) in enumerate(zip(boundaries[:-1], boundaries[1:], g_mid)):
-        if b - a <= 1e-9 or g >= 0.0:
-            continue
-        bands.append(Band(a, b, types[i], types[i + 1], len(bands) + 1))
-    return bands
+             for edge, deg in zip(*_edge_rule(cell, g, dg))]
+    return [Band(a, b, types[i], types[i + lo.size], i + 1)
+            for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))]

@@ -30,8 +30,8 @@ from .scattering import (_blockwise, _quotient, _slab_terms, _validate_band,
 #: A converged root must satisfy |d*Q - 1| below this (see ``_converged``).
 RESIDUAL_TOL = 1e-10
 
-#: Distinct roots closer than this (absolute, in lambda) are merged.
-DEDUP_RADIUS = 1e-6
+#: A run meets the weak-contrast residual floor only with a step |den/den'| at most this.
+_FLOOR_STEP = 1e-9
 
 #: Roots with Im(lambda) above this are rejected as spurious.
 _IM_CEILING = -1e-12
@@ -41,9 +41,9 @@ _NEWTON_MAX_ITER = 50
 #: Steps in a row without halving its best |h| that stop a run short of RESIDUAL_TOL.
 _STALL_STEPS = 16
 
-#: A contour count gives up after this many samples (the budget of 2**17
-#: points per side) or when one step has been halved this many times.
-_CONTOUR_MAX_SAMPLES = 4 << 17
+#: A contour count starts from at most 2**17 points per side, and gives up once refinement
+#: has added as many samples again (4 * 2**17) or one step has been halved 40 times.
+_CONTOUR_MAX_SIDE = 1 << 17
 _CONTOUR_MAX_HALVINGS = 40
 
 #: Distance of an audit contour's vertical sides from the band edges.
@@ -77,7 +77,6 @@ class Resonance:
     residual: float
     band_index: int | None
     newton_iters: int
-    seed: complex
 
 
 def default_im_floor(cell: UnitCell) -> float:
@@ -158,7 +157,7 @@ def resonances_k1(cell: UnitCell, re_max: float, re_min: float = 0.0) -> list[Re
         if re >= re_min - 1e-12:
             lam = complex(re, depth)
             resid = abs(d * q_recursion(cell, lam, 1) - 1.0)
-            out.append(Resonance(lam, resid, _assign_band(bands, re), 0, lam))
+            out.append(Resonance(lam, resid, _assign_band(bands, re), 0))
         m += 1
     return out
 
@@ -182,11 +181,11 @@ def _resonance_condition(cell: UnitCell, lam, k: int):
 
 
 def _converged(cell: UnitCell, h, step):
-    """|h| <= RESIDUAL_TOL, or |h| <= 16 eps/d^2 with a step |den/den'| <= DEDUP_RADIUS/1000.
+    """|h| <= RESIDUAL_TOL, or |h| <= 16 eps/d^2 with a step |den/den'| <= _FLOOR_STEP.
     h = (d^2 - 1) den/(den - d num) carries den's rounding over den - d num, of order d^2 at
     a root, so weak contrast meets RESIDUAL_TOL by chance.  The step bound turns away runs
-    that meet the floor off a root and keeps two copies of one root within DEDUP_RADIUS."""
-    floor = (np.abs(step) <= 1e-3 * DEDUP_RADIUS) * 16.0 * np.finfo(float).eps / cell.contrast**2
+    that meet the floor off a root and keeps copies of one root within 2 _FLOOR_STEP."""
+    floor = (np.abs(step) <= _FLOOR_STEP) * 16.0 * np.finfo(float).eps / cell.contrast**2
     return np.abs(h) <= np.fmax(RESIDUAL_TOL, floor)
 
 
@@ -236,10 +235,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     """All resonances of the k-cell slab inside the window.
 
     Every band the window touches is searched whole.  Bands are scanned to re_max + 2 pi/tau,
-    and a band (F monotone, F' != 0 where |F| < 1) lies between two critical points of F
-    less than 2 pi/tau apart: F' = ((rho-1) s sin(lam s) - (rho+1) tau sin(lam tau))/2 has
-    the sign of -sin(lam tau) at lam tau = (n + 1/2) pi, as (rho+1) tau > (rho-1) |s|, so
-    it vanishes in every interval of length pi/tau.  Newton seeds form a rectangular grid.
+    which covers every such band, since each lies in a Bragg interval [n pi/tau, (n+1) pi/tau]
+    (``find_bands``).  Newton seeds form a rectangular grid.
     Its real parts are each band's markers: the two edges and the k - 1 perfect-transmission
     frequencies (at k = 1 the in-band transparency frequencies), which sit right above the
     resonances, and the midpoint of every pair of neighbouring markers, about 2k + 1 per
@@ -248,9 +245,10 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     the one-cell roots at k = 1.  All seeds run Newton together on the entire slab
     denominator den, each step one kernel evaluation of den/den' and of the residual
     |d Q - 1|; a run that stalls (no halving of its best residual in _STALL_STEPS steps)
-    stops early.  Converged roots (``_converged``) are filtered to the window,
-    deduplicated greedily in residual order (a root within DEDUP_RADIUS of a kept one is
-    dropped), and assigned a band by real-part membership.
+    stops early.  Converged roots (``_converged``) are filtered to the window, deduplicated
+    greedily in residual order within 1/20 of the smallest spacing of neighbouring markers
+    (edges and peaks) of the searched bands, which follows the roots' own spacing down to
+    its 1/k^2 crowding at the edges, and assigned a band by real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -274,8 +272,10 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     depths = -np.array(sorted(rungs)) * im_scale
 
     re_parts: list[np.ndarray] = []
+    spacing = math.inf
     for b in bands_in:
         marks = np.array([b.lo, *perfect_transmission_frequencies(cell, b, k), b.hi])
+        spacing = min(spacing, float(np.min(np.diff(marks))))
         marks = np.sort(np.concatenate([marks, 0.5 * (marks[:-1] + marks[1:])]))
         re_parts.append(marks[:np.searchsorted(marks, window.re_max, "right") + 1])
     seeds = (np.concatenate(re_parts)[:, None] + 1j * depths[None, :]).ravel()
@@ -287,23 +287,23 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     inside = (np.isfinite(resid[order]) & (z.imag < _IM_CEILING)
               & (z.imag >= window.im_min - 1e-9)
               & (z.real >= window.re_min - 1e-9) & (z.real <= window.re_max + 1e-9))
-    # kept roots binned by real part at twice the radius: one within DEDUP_RADIUS of a
+    # kept roots binned by real part at twice the radius: one within the radius of a
     # candidate sits in the candidate's bin or a neighbouring one
-    kept: list[tuple[complex, float, int, complex]] = []
+    radius = spacing / 20.0
+    kept: list[tuple[complex, float, int]] = []
     bins: dict[float, list[complex]] = {}
     cand, z = order[inside], z[inside]
     for i, lam, key in zip(cand.tolist(), z.tolist(),
-                           np.floor(z.real / (2.0 * DEDUP_RADIUS)).tolist()):
+                           np.floor(z.real / (2.0 * radius)).tolist()):
         for other in [*bins.get(key - 1, ()), *bins.get(key, ()), *bins.get(key + 1, ())]:
-            if abs(lam - other) <= DEDUP_RADIUS:
+            if abs(lam - other) <= radius:
                 break
         else:
             bins.setdefault(key, []).append(lam)
-            kept.append((lam, float(resid[i]), int(iters[i]), complex(seeds[i])))
+            kept.append((lam, float(resid[i]), int(iters[i])))
 
     kept.sort(key=lambda t: (t[0].real, t[0].imag))
-    return [Resonance(lam, r, _assign_band(bands, lam.real), it, seed)
-            for lam, r, it, seed in kept]
+    return [Resonance(lam, r, _assign_band(bands, lam.real), it) for lam, r, it in kept]
 
 
 #: Slab reflection through the interface recursion, r = (d - Q)/(1 - d Q).
@@ -326,14 +326,15 @@ def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
     must be within 0.01 of an integer.  Being entire, the determinant has
     no poles to corrupt the count, unlike the recursion quotient.  A zero
     on or next to the contour raises ContourThroughZeroError once a step
-    has been halved 40 times or the samples exceed 4 * 2**17.
+    has been halved 40 times or the refinement has added 4 * 2**17 samples
+    to the start grid (at most 2**17 points per side).
     """
     if not (re_lo < re_hi and im_lo < im_hi):
         raise InvalidRangeError("contour rectangle is ill ordered")
     if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
         raise InvalidRangeError("contour rectangle is not finite")
     periods = math.ceil((re_hi - re_lo) * cell.transit_time / math.pi)
-    n = min(max(256, 16 * _cell_count(k)) * periods, 1 << 17)
+    n = min(max(256, 16 * _cell_count(k)) * periods, _CONTOUR_MAX_SIDE)
     corners = np.array([re_lo + 1j * im_lo, re_hi + 1j * im_lo, re_hi + 1j * im_hi,
                         re_lo + 1j * im_hi, re_lo + 1j * im_lo])
     # integer positions, 2**40 to a start step: a step halved 40 times has length 1
@@ -352,7 +353,8 @@ def count_zeros_rectangle(cell: UnitCell, k: int, re_lo: float, re_hi: float,
             bad = np.flatnonzero(np.abs(steps) >= 0.5 * math.pi)
             if bad.size == 0:
                 break
-            if pos.size + bad.size > _CONTOUR_MAX_SAMPLES or np.min(pos[bad + 1] - pos[bad]) < 2:
+            if (pos.size + bad.size > 4 * (n + _CONTOUR_MAX_SIDE) + 1
+                    or np.min(pos[bad + 1] - pos[bad]) < 2):
                 raise ContourThroughZeroError(
                     "phase winding failed to stabilize; a zero lies on or next to the contour")
             mid = (pos[bad] + pos[bad + 1]) // 2

@@ -301,7 +301,7 @@ def test_narrow_feature_cell_bands_consistent(params, lambda_max):
     # strong contrast produces narrow bands, weak contrast narrow gaps; every
     # reported band interior must satisfy |F| < 1 and the complement |F| >= 1
     # on a fine grid.  Above lambda ~ 18.5 the bands of (0.1, 10, 0.5) are narrower
-    # than the 0.01 scan step: F runs from above +1 to below -1 between grid points
+    # than 0.01: F runs from above +1 to below -1 within a step of that size
     cell = UnitCell(*params)
     bands = find_bands(cell, lambda_max)
     assert bands
@@ -318,14 +318,13 @@ def test_narrow_feature_cell_bands_consistent(params, lambda_max):
 
 
 @pytest.mark.parametrize("params, lambda_max, index, edges", [
-    # no grid point falls in this 0.0011 gap: only the bisected extremum of
-    # F (1.0000019) brackets its two edges
+    # a 0.01 grid puts no point in this 0.0011 gap, where F peaks at 1.0000019
     ((2.69, 4.4, 0.38), 4.0, 2, (1.88073542486205888, 1.88187663884627041)),
-    # this 0.008 gap holds the grid point 126.60, where F = 1.000016
+    # this 0.008 gap holds the 0.01 grid point 126.60, where F = 1.000016
     ((0.7, 2.4, 0.61), 400.0, 70, (126.598704034697447, 126.606684257513012)),
 ], ids=["empty_gap", "gap_with_grid_point"])
 def test_find_bands_gap_narrower_than_grid_step(params, lambda_max, index, edges):
-    # F pokes just past +1 inside a gap narrower than the 0.01 scan step; the
+    # F pokes just past +1 inside a gap narrower than a 0.01 step; the
     # references are 40-digit mpmath roots of F - 1 for the same double parameters
     cell = UnitCell(*params)
     left, right = find_bands(cell, lambda_max)[index - 1:index + 1]
@@ -366,9 +365,41 @@ def test_weak_contrast_edges_match_extended_precision(b2, x2, lambda_max, n_edge
             assert abs(edge - root) <= 1e-12
 
 
+@pytest.mark.parametrize("params, gap, edges", [
+    ((1.1898688233539296, 1.189863856868906, 0.46117172989579575), 2,
+     (5.2805790606885564, 5.2805807554370919)),
+    ((4.714820362608928, 4.714821380187749, 0.3957276312047888), 1,
+     (0.6663227735754422, 0.66632286025898389)),
+], ids=["gap2", "gap1"])
+def test_weak_gap_at_a_bragg_frequency_is_open(params, gap, edges):
+    # |d| <= 2.1e-4: gap n, 1e-7 to 2e-6 wide, straddles n pi/tau with |F'| below 1e-8
+    # there, and is no tangency; both edges are roots of (-1)^n F - 1 within 1e-12 of the
+    # 40-digit roots (the edges above) and are typed non-degenerate
+    mp = pytest.importorskip("mpmath")
+    cell = UnitCell(*params)
+    bands = find_bands(cell, (gap + 1) * math.pi / cell.transit_time)
+    left, right = bands[gap - 1], bands[gap]
+    with mp.workdps(40):
+        b1, b2, x = mp.mpf(cell.b1), mp.mpf(cell.b2), mp.mpf(cell.x2)
+        rho = (b1 * b1 + b2 * b2) / (2 * b1 * b2)
+        tau, skew = x * b2 + (1 - x) * b1, x * b2 - (1 - x) * b1
+        bragg = gap * mp.pi / tau
+
+        def side(lam):  # (-1)^n F - 1
+            f = ((rho + 1) * mp.cos(lam * tau) - (rho - 1) * mp.cos(lam * skew)) / 2
+            return (-1) ** gap * f - 1
+        roots = [mp.findroot(side, bracket, solver="anderson")
+                 for bracket in ((bragg - mp.mpf("1e-5"), bragg), (bragg, bragg + mp.mpf("1e-5")))]
+    for edge, edge_type, root, ref in zip((left.hi, right.lo), (left.hi_type, right.lo_type),
+                                          roots, edges):
+        assert root == pytest.approx(ref, abs=1e-15)
+        assert abs(edge - root) <= 1e-12
+        assert edge_type is EdgeType.NONDEGENERATE
+
+
 def test_band_edges_independent_of_lambda_max(cell_a, cell_b, cell_c):
     # each of the first 12 bands, found again with lambda_max just past its upper edge,
-    # is bitwise the same band: the scan grid does not end at lambda_max
+    # is bitwise the same band: the brackets are the Bragg intervals, whatever lambda_max
     for cell in (cell_a, cell_b, cell_c):
         for band in find_bands(cell, 40.0)[:12]:
             for delta in (1e-4, 5e-4, 1.2e-3, 4e-3, 9e-3):

@@ -1,5 +1,6 @@
 import cmath
 import collections
+import dataclasses
 import math
 import os
 import subprocess
@@ -15,8 +16,8 @@ from stepslab import (BandMismatchError, ContourThroughZeroError, DeterminantOve
                       RecursionPoleError, UnitCell, Window, audit_count,
                       chain_determinants, convergence_study,
                       count_zeros_rectangle, default_im_floor, find_bands,
-                      find_resonances, lyapunov, q_recursion,
-                      reflection_via_q, resonances_k1, spectral_period)
+                      find_resonances, lyapunov, perfect_transmission_frequencies,
+                      q_recursion, reflection_via_q, resonances_k1, spectral_period)
 import stepslab
 from stepslab import resolvent
 from stepslab.cli import _fmt
@@ -373,17 +374,30 @@ def test_weak_contrast_band_complete_by_winding(k):
             == den_winding(cell, k, *rect) == k)
 
 
-@pytest.mark.parametrize("k", [8, 16, pytest.param(32, marks=pytest.mark.xfail(
-    strict=True, reason="band 1 holds 38 roots where den winds 32 times (ROADMAP item 2(b))"))])
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
 def test_weakest_contrast_holds_at_most_k_roots_per_band(k):
     # |d| = 5e-6 puts the residual floor 16 eps/d^2 at 1.4e-4, where runs that have not
-    # converged read below it 1e-6 from a root; only a step within DEDUP_RADIUS/1000 lets
-    # a run in at the floor, or band 1 holds 11 roots at k = 8.  den rounds to 0 over a
-    # patch about 1e-6 wide around each root, so copies 1e-6 to 1.4e-6 apart survive the
-    # dedup at k = 32
+    # converged read below it 1e-6 from a root; only a step within resolvent._FLOOR_STEP
+    # lets a run in at the floor, or band 1 holds 11 roots at k = 8.  den rounds to 0 over
+    # a patch about 1e-6 wide around each root, so copies lie 1e-6 to 1.4e-6 apart, and
+    # only a merge radius at the markers' scale (2e-2 to 2.5e-3 at k = 8 to 64) joins them
     cell = UnitCell(1.0, 1.00001, 0.3)
     found = find_resonances(cell, k, Window(0.0, 4.0, default_im_floor(cell)))
     assert found and max(collections.Counter(r.band_index for r in found).values()) <= k
+
+
+@pytest.mark.parametrize("shift", [1e-13, -1e-13, 3e-13, -3e-13, 1e-12, -1e-12])
+def test_weakest_contrast_count_survives_edge_shifts(shift, monkeypatch):
+    # find_bands promises its edges to 1e-12; seeds at edges moved within that promise
+    # must not split one root into copies that survive the merge.  With a fixed 1e-6
+    # radius, +3e-13 gave 9 band-1 roots at k = 8 and +-1e-13 gave 17 at k = 16
+    bands = resolvent.find_bands
+    monkeypatch.setattr(resolvent, "find_bands", lambda cell, lambda_max: [
+        dataclasses.replace(b, lo=b.lo + shift, hi=b.hi + shift) for b in bands(cell, lambda_max)])
+    cell = UnitCell(1.0, 1.00001, 0.3)
+    for k in (8, 16, 32):
+        found = find_resonances(cell, k, Window(0.0, 4.0, default_im_floor(cell)))
+        assert found and max(collections.Counter(r.band_index for r in found).values()) <= k, k
 
 
 @pytest.mark.xfail(strict=True, reason="band 4 loses converged roots whose |h| reads just "
@@ -430,6 +444,16 @@ def test_contour_through_zero_raises_quickly(cell_a):
         with pytest.raises(ContourThroughZeroError):
             count_zeros_rectangle(cell_a, 1, *rect)
         assert time.perf_counter() - start < 1.0
+
+
+def test_contour_on_a_capped_start_grid_refines(cell_a):
+    # 1200 wide at k = 64, the start grid is capped at 2**17 points per side, 4 * 2**17 + 1
+    # samples, and its phase jumps still need a refinement pass; the count is the sum of
+    # the two halves' counts
+    halves = [count_zeros_rectangle(cell_a, 64, *re, -0.3, 0.05)
+              for re in ((0.1, 600.0), (600.0, 1200.0))]
+    assert halves == [19391, 19403]
+    assert count_zeros_rectangle(cell_a, 64, 0.1, 1200.0, -0.3, 0.05) == sum(halves)
 
 
 def test_audit_reraises_after_fifth_attempt(cell_a, monkeypatch):
@@ -592,6 +616,15 @@ def test_resonance_condition_slope_matches_extended_precision(cell_a, cell_b, ce
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
+def _merge_radius(cell, k, window):
+    """1/20 of the smallest spacing of neighbouring markers, the edges and the transmission
+    peaks, over the bands the window touches (reference)."""
+    bands = find_bands(cell, window.re_max + 2.0 * math.pi / cell.transit_time)
+    return min(np.min(np.diff([b.lo, *perfect_transmission_frequencies(cell, b, k), b.hi]))
+               for b in bands
+               if b.hi > window.re_min - 1e-9 and b.lo < window.re_max + 1e-9) / 20.0
+
+
 def test_dedup_matches_one_root_loop(cell_a, cell_b, monkeypatch):
     # reference: the loop that compared each candidate with every kept root
     newton, seen = resolvent._newton_batch, {}
@@ -606,6 +639,7 @@ def test_dedup_matches_one_root_loop(cell_a, cell_b, monkeypatch):
                             (weakest, 16, Window(0.0, 4.0, default_im_floor(weakest)))):
         got = [r.lam for r in find_resonances(cell, k, window)]
         roots, resid, _ = seen["out"]
+        radius = _merge_radius(cell, k, window)
         candidates, kept = 0, []
         for i in np.argsort(resid, kind="stable"):
             lam = complex(roots[i])
@@ -614,7 +648,7 @@ def test_dedup_matches_one_root_loop(cell_a, cell_b, monkeypatch):
                     or not window.re_min - 1e-9 <= lam.real <= window.re_max + 1e-9):
                 continue
             candidates += 1
-            if all(abs(lam - other) > resolvent.DEDUP_RADIUS for other in kept):
+            if all(abs(lam - other) > radius for other in kept):
                 kept.append(lam)
         assert candidates > 2 * len(kept)
         assert sorted(kept, key=lambda z: (z.real, z.imag)) == got, (cell, k)
