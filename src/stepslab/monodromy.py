@@ -213,13 +213,35 @@ def chebyshev_pair(sign, g, k: int, dg=None):
     """(U_{k-1}(f), U_{k-2}(f)) = 2**e (u, v) at f = sign (1 + g); M^k = 2**e (u M - v I).
 
     Binary doubling of U_j = 2f U_{j-1} - U_{j-2} (U_0 = 1, U_{-1} = 0) in O(log k),
-    rescaled by an exact power of two per level so that nothing overflows.  It
-    carries D = U_{n-1} - U_{n-2} and g (Reinsch's form), accurate at the band edges,
-    and U_{n-2} itself, accurate where |f| >> 1 and U_{n-1} - D cancels.
+    rescaled by exact powers of two so that nothing overflows.  It carries
+    D = U_{n-1} - U_{n-2} and g (Reinsch's form), accurate at the band edges, and
+    U_{n-2} itself, accurate where |f| >> 1 and U_{n-1} - D cancels.
 
     Given the tangent dg of g, the same loop carries the tangents of (u, D, v)
     (forward mode, the rescaling held constant) and returns (u, v, du, dv, e),
     with 2**e (du, dv) the derivatives of (U_{k-1}(f), U_{k-2}(f)).
+
+    The levels run in blocks of r, the last one possibly shorter, and a rescale ends
+    each block: it divides (u, D, v) and their tangents by the power of two 2**x that
+    puts S = |u| + |D| in [1/2, 1), and sets e to e 2**j + x after a block of j levels
+    (a level squares the scale).  r is the largest r >= 1 with
+    2**r (L + 4 + 2 log2(H + 3)) <= 500, L the number of levels and H = max |2g|;
+    r = 1 where H is not finite or no r meets the rule.  Between rescales each value is a
+    per-level rescaled one times a power of two, the same for all of one frequency's
+    values; such a factor commutes with every product, sum and rounding, so the
+    output is bitwise that of a rescale at every level, while nothing leaves the
+    normal range.  Two bounds keep log2 S within +-500 inside a block (S in [1/2, 2]
+    at its start):
+    - up: a level takes S to at most 2 (H + 3)**2 S**2 (the bit step included);
+    - down: with 1 + g = cos t, b = |Im t|, U_{n-1} = sum_m e^{i(n-1-2m)t},
+      T_n = cos nt = D + g U_{n-1} and D**2 + 2gU(D - U) = 1, the unscaled S at
+      index n obeys e^{nb} / (3 (1 + |g|)) <= S <= (2 + |g|) n e^{nb}.  The growth
+      e^{nb} cancels between index 2**j n + (appended bits) and the 2**j-th power
+      of S at index n, so j levels lose at most 2**j log2((2 + |g|) n) +
+      log2(3 (1 + |g|)) bits below that power: about log2 n + log2(2 + |g|) per
+      level, compounded (one level alone can lose 2 log2 n, where T_n = 0).
+    An intermediate would have to fall 2**520 below S, or a tangent stray 2**520
+    from it, to round differently from the per-level rescale.
 
     Scalar (sign, g) stay Python numbers, rescaled by ``math.frexp`` with e a
     Python int; arrays use ``np.frexp`` with an int64 e.
@@ -231,27 +253,36 @@ def chebyshev_pair(sign, g, k: int, dg=None):
     if dg is not None:
         dh = 2.0 * dg
         du = dd = dv = 0.0 * dh
-    frexp, e = (np.frexp, np.int64(0)) if isinstance(h, np.ndarray) else (math.frexp, 0)
-    for bit in bin(k)[3:]:
-        hu = h * u  # U_{2n-1} = 2U(gU + D), D_{2n-1} = 2gU^2 + D^2, U_{2n-2} = D(U + V)
-        # named, not temporary, right factors: NumPy would otherwise multiply a long
-        # array's temporary in place, swap the operands and change the last bit
-        w, p = hu + 2.0 * d, u + v
-        if dg is not None:
-            dhu = dh * u + h * du
-            dw, dp = dhu + 2.0 * dd, du + dv
-            du, dd, dv = du * w + u * dw, dhu * u + hu * du + 2.0 * d * dd, dd * p + d * dp
-        u, d, v = u * w, hu * u + d * d, d * p
-        if bit == "1":  # D_n = D + 2gU, U_n = U + D_n, V_n = U
+    if isinstance(h, np.ndarray):
+        frexp, e, h_max = np.frexp, np.int64(0), np.max(np.abs(h), initial=0.0)
+    else:  # hypot: abs of a complex past the float range raises
+        frexp, e, h_max = math.frexp, 0, math.hypot(h.real, h.imag)
+    levels = bin(k)[3:]
+    # frexp(x)[1] - 1 = floor(log2 x), and -1 at x = 0 (h_max infinite) or NaN
+    r = max(1, math.frexp(500.0 / (len(levels) + 4 + 2 * math.log2(h_max + 3.0)))[1] - 1)
+    for at in range(0, len(levels), r):
+        block = levels[at:at + r]
+        for bit in block:
+            hu = h * u  # U_{2n-1} = 2U(gU + D), D_{2n-1} = 2gU^2 + D^2, U_{2n-2} = D(U + V)
+            # named, not temporary, right factors: NumPy would otherwise multiply a long
+            # array's temporary in place, swap the operands and change the last bit
+            w, p = hu + 2.0 * d, u + v
             if dg is not None:
-                dd = dd + dh * u + h * du
-                du, dv = du + dd, du
-            d = d + h * u
-            u, v = u + d, u
+                dhu = dh * u + h * du
+                dw, dp = dhu + 2.0 * dd, du + dv
+                du, dd, dv = (du * w + u * dw, dhu * u + hu * du + 2.0 * d * dd,
+                              dd * p + d * dp)
+            u, d, v = u * w, hu * u + d * d, d * p
+            if bit == "1":  # D_n = D + 2gU, U_n = U + D_n, V_n = U
+                if dg is not None:
+                    dd = dd + dh * u + h * du
+                    du, dv = du + dd, du
+                d = d + h * u
+                u, v = u + d, u
         t = abs(u) + abs(d)
         s, ex = frexp(t)
         s /= t  # exactly 2**-ex
-        u, d, v, e = u * s, d * s, v * s, 2 * e + ex
+        u, d, v, e = u * s, d * s, v * s, e * 2 ** len(block) + ex
         if dg is not None:
             du, dd, dv = du * s, dd * s, dv * s
     # U_j(f) = sign**j U_j(sign f)

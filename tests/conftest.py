@@ -115,6 +115,45 @@ def mp_slab(mp, cell: UnitCell, lam, k: int):
     return r, 4 / (abs(num) ** 2 + 4)
 
 
+def chebyshev_pair_per_level(sign, g, k: int, dg=None):
+    """``monodromy.chebyshev_pair`` with a rescale after every doubling level: the
+    reference that the kernel's sparser rescaling must reproduce bit for bit.
+    (U_{k-1}(f), U_{k-2}(f)) = 2**e (u, v) at f = sign (1 + g), and with dg the
+    tangents, (u, v, du, dv, e)."""
+    h = 2.0 * g
+    u = d = 1.0 + 0.0 * h
+    v = 0.0 * h
+    if dg is not None:
+        dh = 2.0 * dg
+        du = dd = dv = 0.0 * dh
+    frexp, e = (np.frexp, np.int64(0)) if isinstance(h, np.ndarray) else (math.frexp, 0)
+    for bit in bin(k)[3:]:
+        hu = h * u
+        w, p = hu + 2.0 * d, u + v
+        if dg is not None:
+            dhu = dh * u + h * du
+            dw, dp = dhu + 2.0 * dd, du + dv
+            du, dd, dv = du * w + u * dw, dhu * u + hu * du + 2.0 * d * dd, dd * p + d * dp
+        u, d, v = u * w, hu * u + d * d, d * p
+        if bit == "1":
+            if dg is not None:
+                dd = dd + dh * u + h * du
+                du, dv = du + dd, du
+            d = d + h * u
+            u, v = u + d, u
+        t = abs(u) + abs(d)
+        s, ex = frexp(t)
+        s /= t
+        u, d, v, e = u * s, d * s, v * s, 2 * e + ex
+        if dg is not None:
+            du, dd, dv = du * s, dd * s, dv * s
+    if dg is None:
+        return (u, v * sign, e) if k % 2 else (u * sign, v, e)
+    if k % 2:
+        return u, v * sign, du, dv * sign, e
+    return u * sign, v, du * sign, dv, e
+
+
 class ChainRecurrence(NamedTuple):
     value: complex
     companion: complex

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from stepslab import (EdgeDegeneracyError, EdgeType, FixedPointKind,
                       spectral_period, transfer_power)
 from stepslab.monodromy import _band_offset, _bisect, chebyshev_pair
 
-from conftest import DEEP, EDGE_A1, EDGE_A2, EDGE_A3, lyapunov_curvature
+from conftest import (DEEP, EDGE_A1, EDGE_A2, EDGE_A3, chebyshev_pair_per_level,
+                      lyapunov_curvature, random_cells)
 
 
 def _random_lams(rng, n, re=(0.05, 8.0), im=(-1.0, 1.0)):
@@ -500,6 +502,113 @@ def test_chebyshev_pair_independent_of_batch_length(cell_a):
     parts = [pairs(slice(i, i + 4000)) for i in range(0, lams.size, 4000)]
     for one, five in zip(whole, zip(*parts)):
         assert one.tobytes() == np.concatenate(five).tobytes()
+
+
+#: single levels, powers of two and their neighbours, the benchmark's 4096, and k up
+#: to 1e9 + 7 (30 levels)
+_RESCALE_KS = (1, 2, 3, 7, 8, 64, 127, 128, 513, 1000, 4096, 65537, 10**5, 2**20 + 3,
+               10**9 + 7)
+
+
+def _same_bits(got, want):
+    """Kernel outputs equal bit for bit: arrays by dtype and bytes, Python numbers by
+    type and repr (which tells -0.0 from 0.0 and prints NaN parts)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b)
+
+
+def _rescale_corpus(seed):
+    """(cell, real grid, complex grid) on A, B, C, DEEP, a high-contrast cell, a weak-
+    and a strong-contrast cell and three random cells.  The real grids hold every band
+    edge below 12 and points 1e-12 above, 1e-9 below and 1e-6 above each; the complex
+    grids Im lam in (-3, 2) and points down to |Im lam| tau = 200."""
+    rng = np.random.default_rng(seed)
+    cells = [UnitCell(1.0, 4.0, 0.2), UnitCell(1.0, 3.8, 0.2), UnitCell(3.8, 1.0, 0.8), DEEP,
+             UnitCell(7.353746788861326, 0.2407638817620896, 0.2698829985618346),
+             UnitCell(1.0, 1.00001, 0.3), UnitCell(0.02, 50.0, 0.5), *random_cells(seed, 3)]
+    for cell in cells:
+        edges = np.array([x for band in find_bands(cell, 12.0) for x in (band.lo, band.hi)])
+        real = np.concatenate([rng.uniform(0.0, 12.0, 100), edges, edges + 1e-12,
+                               edges - 1e-9, edges + 1e-6])
+        deep = rng.uniform(0.0, 12.0, 20) - 1j * rng.uniform(0.0, 200.0 / cell.transit_time, 20)
+        yield cell, real, np.concatenate([_random_lams(rng, 100, (0.0, 12.0), (-3.0, 2.0)), deep])
+
+
+def test_chebyshev_pair_matches_per_level_rescale():
+    # rescaling every r levels leaves each value off by a power of two until the
+    # next rescale, which no product, sum or rounding sees: values, tangents and e
+    # equal the per-level loop's bit for bit, for arrays and for single frequencies
+    for cell, real, cplx in _rescale_corpus(67):
+        for lams in (real, cplx):
+            sign, g, dg = _band_offset(cell, lams, slope=True)
+            for k in _RESCALE_KS:
+                _same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
+                _same_bits(chebyshev_pair(sign, g, k, dg),
+                           chebyshev_pair_per_level(sign, g, k, dg))
+            for lam in lams[::lams.size // 6].tolist():
+                sign, g, dg = _band_offset(cell, lam, slope=True)
+                for k in _RESCALE_KS:
+                    _same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
+                    _same_bits(chebyshev_pair(sign, g, k, dg),
+                               chebyshev_pair_per_level(sign, g, k, dg))
+
+
+def test_chebyshev_pair_rescale_at_the_float_range():
+    # DEEP at Im lam = -20 (|2g| near 1e36) rescales at every level, and so does a
+    # batch holding an infinite or NaN frequency: both match the per-level loop
+    sign, g, dg = _band_offset(DEEP, np.linspace(0.1, 8.0, 200) - 20j, slope=True)
+    for k in (2, 64, 4096, 10**5):
+        _same_bits(chebyshev_pair(sign, g, k, dg), chebyshev_pair_per_level(sign, g, k, dg))
+    lams = np.array([0.3, np.inf, np.nan, 2.0 - 0.5j, complex(np.inf, 0.0), 1.0 - 1j * np.inf])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for batch in (lams[:3].real, lams):
+            sign, g, dg = _band_offset(UnitCell(1.0, 4.0, 0.2), batch, slope=True)
+            for k in (2, 64, 4096):
+                _same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
+                _same_bits(chebyshev_pair(sign, g, k, dg),
+                           chebyshev_pair_per_level(sign, g, k, dg))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as err:
+        return type(err)
+
+
+def test_overflow_outcomes_match_per_level_rescale(cell_a, monkeypatch):
+    # which entry parts of M^1000 below the axis come out infinite must not depend
+    # on how often the doubling rescales; nor whether a single frequency raises
+    rng = np.random.default_rng(71)
+    lams = rng.uniform(0.1, 8.0, 4000) - 1j * rng.uniform(0.0, 1.0, 4000)
+    scalars = [1.3 - 1j * y / cell_a.transit_time for y in (700.0, 1000.0, 1430.0)]
+    kernel = sys.modules["stepslab.monodromy"]
+    runs = []
+    for pair in (chebyshev_pair, chebyshev_pair_per_level):
+        monkeypatch.setattr(kernel, "chebyshev_pair", pair)
+        runs.append([_outcome(transfer_power, cell_a, lam, 1000) for lam in (lams, *scalars)])
+    (many, *one), (many_ref, *one_ref) = runs
+    got, want = (np.stack([m.alpha, m.beta, m.gamma, m.delta]) for m in (many, many_ref))
+    assert got.tobytes() == want.tobytes()
+    assert np.any(np.isinf(want)) and not np.any(np.isnan(want))
+    assert list(map(repr, one)) == list(map(repr, one_ref))  # repr: NaN parts compare
+    assert OverflowError in one_ref
+    # |2g| past the float range with finite parts: abs raises in both loops
+    for g in (complex(7e307, 7e307), complex(1.5e308, 1.5e308), 1.7e308, 1e300 + 1e300j):
+        for k in (1, 2, 3, 5, 1000):
+            got, want = (_outcome(pair, 1.0, g, k)
+                         for pair in (chebyshev_pair, chebyshev_pair_per_level))
+            if isinstance(want, type):
+                assert got is want
+            else:
+                _same_bits(got, want)
+    assert _outcome(chebyshev_pair, 1.0, complex(7e307, 7e307), 2) is OverflowError
 
 
 def test_transfer_power_overflows_to_inf_not_nan(cell_a):
