@@ -209,7 +209,7 @@ def _cell_count(k):
     return k
 
 
-def chebyshev_pair(sign, g, k: int, dg=None):
+def chebyshev_pair(sign, g, k: int):
     """(U_{k-1}(f), U_{k-2}(f)) = 2**e (u, v) at f = sign (1 + g); M^k = 2**e (u M - v I).
 
     Binary doubling of U_j = 2f U_{j-1} - U_{j-2} (U_0 = 1, U_{-1} = 0) in O(log k),
@@ -217,13 +217,9 @@ def chebyshev_pair(sign, g, k: int, dg=None):
     D = U_{n-1} - U_{n-2} and g (Reinsch's form), accurate at the band edges, and
     U_{n-2} itself, accurate where |f| >> 1 and U_{n-1} - D cancels.
 
-    Given the tangent dg of g, the same loop carries the tangents of (u, D, v)
-    (forward mode, the rescaling held constant) and returns (u, v, du, dv, e),
-    with 2**e (du, dv) the derivatives of (U_{k-1}(f), U_{k-2}(f)).
-
     The levels run in blocks of r, the last one possibly shorter, and a rescale ends
-    each block: it divides (u, D, v) and their tangents by the power of two 2**x that
-    puts S = |u| + |D| in [1/2, 1), and sets e to e 2**j + x after a block of j levels
+    each block: it divides (u, D, v) by the power of two 2**x that puts
+    S = |u| + |D| in [1/2, 1), and sets e to e 2**j + x after a block of j levels
     (a level squares the scale).  r is the largest r >= 1 with
     2**r (L + 4 + 2 log2(H + 3)) <= 500, L the number of levels and H = max |2g|;
     r = 1 where H is not finite or no r meets the rule.  Between rescales each value is a
@@ -240,8 +236,9 @@ def chebyshev_pair(sign, g, k: int, dg=None):
       of S at index n, so j levels lose at most 2**j log2((2 + |g|) n) +
       log2(3 (1 + |g|)) bits below that power: about log2 n + log2(2 + |g|) per
       level, compounded (one level alone can lose 2 log2 n, where T_n = 0).
-    An intermediate would have to fall 2**520 below S, or a tangent stray 2**520
-    from it, to round differently from the per-level rescale.
+    An intermediate would have to fall 2**520 below S to round differently from the
+    per-level rescale.  From H = 2**500 (r = 1), where the bit step's 2g u could reach
+    H**2, a rescale precedes the bit step too; a power of two, it changes no bit either.
 
     Scalar (sign, g) stay Python numbers, rescaled by ``math.frexp`` with e a
     Python int; arrays use ``np.frexp`` with an int64 e.
@@ -250,47 +247,35 @@ def chebyshev_pair(sign, g, k: int, dg=None):
     h = 2.0 * g
     u = d = 1.0 + 0.0 * h
     v = 0.0 * h
-    if dg is not None:
-        dh = 2.0 * dg
-        du = dd = dv = 0.0 * dh
     if isinstance(h, np.ndarray):
         frexp, e, h_max = np.frexp, np.int64(0), np.max(np.abs(h), initial=0.0)
     else:  # hypot: abs of a complex past the float range raises
         frexp, e, h_max = math.frexp, 0, math.hypot(h.real, h.imag)
+    def rescale(u, d, v):  # (u, D, v) 2**-x with S in [1/2, 1), and x
+        t = abs(u) + abs(d)
+        s, x = frexp(t)
+        s /= t  # exactly 2**-x
+        return u * s, d * s, v * s, x
     levels = bin(k)[3:]
     # frexp(x)[1] - 1 = floor(log2 x), and -1 at x = 0 (h_max infinite) or NaN
     r = max(1, math.frexp(500.0 / (len(levels) + 4 + 2 * math.log2(h_max + 3.0)))[1] - 1)
     for at in range(0, len(levels), r):
-        block = levels[at:at + r]
+        block, x = levels[at:at + r], 0
         for bit in block:
             hu = h * u  # U_{2n-1} = 2U(gU + D), D_{2n-1} = 2gU^2 + D^2, U_{2n-2} = D(U + V)
             # named, not temporary, right factors: NumPy would otherwise multiply a long
             # array's temporary in place, swap the operands and change the last bit
             w, p = hu + 2.0 * d, u + v
-            if dg is not None:
-                dhu = dh * u + h * du
-                dw, dp = dhu + 2.0 * dd, du + dv
-                du, dd, dv = (du * w + u * dw, dhu * u + hu * du + 2.0 * d * dd,
-                              dd * p + d * dp)
             u, d, v = u * w, hu * u + d * d, d * p
             if bit == "1":  # D_n = D + 2gU, U_n = U + D_n, V_n = U
-                if dg is not None:
-                    dd = dd + dh * u + h * du
-                    du, dv = du + dd, du
+                if h_max >= 2.0 ** 500:  # then r = 1: one level per block
+                    u, d, v, x = rescale(u, d, v)
                 d = d + h * u
                 u, v = u + d, u
-        t = abs(u) + abs(d)
-        s, ex = frexp(t)
-        s /= t  # exactly 2**-ex
-        u, d, v, e = u * s, d * s, v * s, e * 2 ** len(block) + ex
-        if dg is not None:
-            du, dd, dv = du * s, dd * s, dv * s
+        u, d, v, ex = rescale(u, d, v)
+        e = e * 2 ** len(block) + x + ex
     # U_j(f) = sign**j U_j(sign f)
-    if dg is None:
-        return (u, v * sign, e) if k % 2 else (u * sign, v, e)
-    if k % 2:
-        return u, v * sign, du, dv * sign, e
-    return u * sign, v, du * sign, dv, e
+    return (u, v * sign, e) if k % 2 else (u * sign, v, e)
 
 
 def transfer_power(cell: UnitCell, lam, k: int) -> MonodromyMatrix:

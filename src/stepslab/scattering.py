@@ -79,20 +79,34 @@ def _closed_s_n(cell: UnitCell, lam, lib, half, slope: bool = False):
 
 def _slab_terms(cell: UnitCell, lam, k: int, slope: bool = False):
     """(u N, u S - 2v, e): r_k = u N / (u S - 2v) from the k-cell entries 2**e (u M - v I).
-    With ``slope``, returns (num, den, den', e), den' the exact derivative in lam.
+    With ``slope``, returns (num, den, den', e), den' the derivative in lam.
 
     One frequency runs in Python arithmetic (``math`` or ``cmath``), an array in numpy;
     a real lam takes E and E' from the half angles that also give F, a complex lam
-    (complex dtype, even with zero imaginary parts) from exp."""
+    (complex dtype, even with zero imaginary parts) from exp.
+
+    den' = u'S + uS' - 2v' from the values by (F^2 - 1) U_n' = n F U_n - (n + 1) U_{n-1},
+    F = sign x, x = 1 + g, F' = sign g': u' = ((k - 1) x u - sign k v) c, c = g'/(g (g + 2))
+    ((k^2 - 1)/3 u g' where x rounds to 1), v' = sign ((k - 1) u - x sign k v) c.  Both lose
+    about eps/(|g| k) near F = +-1, so for |g| < 1 den' = u'(S - 2 sign) + 2 sign w' + uS',
+    w' = (u - sign v)' = ((k - 1) u + sign k v) g'/(2 + g) free of that loss, S - 2 sign small
+    where it is worst (lam near 0, touching points).  The roots, den = 0, do not move."""
     lam, lib, half = _half_angles(cell, lam)
-    s, n, *dsn = _closed_s_n(cell, lam, lib, half, slope)
+    s, n, *ds = _closed_s_n(cell, lam, lib, half, slope)
     sign, g, *dg = _offset(cell, lib, half, slope)
     del half  # four arrays fewer in cache during the doubling loop
-    u, v, *duv, e = chebyshev_pair(sign, g, k, *dg)
+    u, v, e = chebyshev_pair(sign, g, k)
     if not slope:
         return u * n, u * s - 2.0 * v, e
-    (ds,), (du, dv) = dsn, duv
-    return u * n, u * s - 2.0 * v, du * s + u * ds - 2.0 * dv, e
+    x, dg, ku, t = 1.0 + g, dg[0], (k - 1) * u, k * (sign * v)
+    one = x == 1.0  # F rounds to sign: g (g + 2) is 0 or below its rounding
+    pick = np.where if lib is np else lambda c, a, b: a if c else b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = dg / (g * (g + 2.0) + one)
+        du = pick(one, ((k * k - 1) / 3.0) * u * dg, (x * ku - t) * c)
+        near = du * (s - 2.0 * sign) + 2.0 * sign * ((ku + t) * (dg / (2.0 + g)))
+        far = du * s - 2.0 * sign * ((ku - x * t) * c)
+        return u * n, u * s - 2.0 * v, pick(abs(g) < 1.0, near, far) + u * ds[0], e
 
 
 @_blockwise

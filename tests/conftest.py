@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 
 from stepslab import UnitCell, lyapunov, resonances_k1
+from stepslab.monodromy import _half_angles, _offset
+from stepslab.scattering import _closed_s_n
 
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves
     pass
 else:
-    # fixed examples and no example database, so every run tests the same cells
+    # fixed examples and no example database, so every run tests the same cells.  The
+    # heavy profile runs 8 times the examples (``--hypothesis-profile stepslab-heavy``);
+    # the properties scale their budgets by max_examples / 100
     settings.register_profile("stepslab", derandomize=True, database=None, deadline=None)
+    settings.register_profile("stepslab-heavy", settings.get_profile("stepslab"),
+                              max_examples=800)
     settings.load_profile("stepslab")
 
 
@@ -115,6 +121,44 @@ def mp_slab(mp, cell: UnitCell, lam, k: int):
     return r, 4 / (abs(num) ** 2 + 4)
 
 
+def mp_den_slope(mp, cell: UnitCell, lam, k: int):
+    """d/dlam of the slab denominator den = U_{k-1}(F) S - 2 U_{k-2}(F) in mpmath at
+    its working precision: F and S = a + d + i(b1 g - b/b1) from the one-cell entries,
+    their derivatives by ``mp.diff``, and (U_j, U_j') by the O(k) recurrences
+    U_j = 2F U_{j-1} - U_{j-2}, U_j' = 2F' U_{j-1} + 2F U_{j-1}' - U_{j-2}'."""
+    b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
+    p, m = b2 + b1, b2 - b1
+
+    def f_s(z):
+        arg_sum = z * (x2 * b2 + (1 - x2) * b1)
+        arg_diff = z * (b1 * (1 - x2) - b2 * x2)
+        a = (p * mp.cos(arg_sum) + m * mp.cos(arg_diff)) / (2 * b2)
+        b = (p * mp.sin(arg_sum) - m * mp.sin(arg_diff)) / 2
+        g = -(p * mp.sin(arg_sum) + m * mp.sin(arg_diff)) / (2 * b1 * b2)
+        d = (p * mp.cos(arg_sum) - m * mp.cos(arg_diff)) / (2 * b1)
+        return (a + d) / 2, a + d + 1j * (b1 * g - b / b1)
+
+    z = mp.mpc(lam)
+    f, s = f_s(z)
+    df, ds = (mp.diff(lambda t, i=i: f_s(t)[i], z) for i in (0, 1))
+    u, v, du, dv = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+    for _ in range(k - 1):
+        u, v, du, dv = 2 * f * u - v, u, 2 * df * u + 2 * f * du - dv, du
+    return du * s + u * ds - 2 * dv
+
+
+def same_bits(got, want):
+    """Kernel outputs equal bit for bit: arrays by dtype and bytes, Python numbers by
+    type and repr (which tells -0.0 from 0.0 and prints NaN parts)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b)
+
+
 def chebyshev_pair_per_level(sign, g, k: int, dg=None):
     """``monodromy.chebyshev_pair`` with a rescale after every doubling level: the
     reference that the kernel's sparser rescaling must reproduce bit for bit.
@@ -152,6 +196,17 @@ def chebyshev_pair_per_level(sign, g, k: int, dg=None):
     if k % 2:
         return u, v * sign, du, dv * sign, e
     return u * sign, v, du * sign, dv, e
+
+
+def slab_terms_tangent(cell: UnitCell, lam, k: int):
+    """``scattering._slab_terms(cell, lam, k, slope=True)`` with den' from the tangents
+    that ``chebyshev_pair_per_level`` carries through the doubling (forward mode): the
+    reference for den' by the Chebyshev derivative identity.  (num, den, den', e)."""
+    lam, lib, half = _half_angles(cell, lam)
+    s, n, ds = _closed_s_n(cell, lam, lib, half, slope=True)
+    sign, g, dg = _offset(cell, lib, half, slope=True)
+    u, v, du, dv, e = chebyshev_pair_per_level(sign, g, k, dg)
+    return u * n, u * s - 2.0 * v, du * s + u * ds - 2.0 * dv, e
 
 
 class ChainRecurrence(NamedTuple):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import warnings
@@ -12,7 +13,7 @@ from stepslab import (EdgeDegeneracyError, EdgeType, FixedPointKind,
 from stepslab.monodromy import _band_offset, _bisect, chebyshev_pair
 
 from conftest import (DEEP, EDGE_A1, EDGE_A2, EDGE_A3, chebyshev_pair_per_level,
-                      lyapunov_curvature, random_cells)
+                      lyapunov_curvature, random_cells, same_bits)
 
 
 def _random_lams(rng, n, re=(0.05, 8.0), im=(-1.0, 1.0)):
@@ -452,54 +453,15 @@ def test_bisect_exact_zeros_and_bad_brackets():
         _bisect(lambda x: x * x - c[:2], [1.5, 0.0], [3.0, 3.0], 1e-12)
 
 
-def test_chebyshev_tangent_leaves_values_bitwise(cell_a, cell_c):
-    rng = np.random.default_rng(43)
-    lams = np.concatenate([rng.uniform(0.0, 40.0, 500), _random_lams(rng, 500, im=(-5.0, 1.0))])
-    for cell in (cell_a, cell_c):
-        sign, g = _band_offset(cell, lams)
-        sign_t, g_t, dg = _band_offset(cell, lams, slope=True)
-        assert sign.tobytes() == sign_t.tobytes() and g.tobytes() == g_t.tobytes()
-        for k in (1, 2, 8, 1000, 4096):
-            u, v, e = chebyshev_pair(sign, g, k)
-            u_t, v_t, _, _, e_t = chebyshev_pair(sign, g, k, dg)
-            assert u.tobytes() == u_t.tobytes() and v.tobytes() == v_t.tobytes()
-            assert e.tobytes() == e_t.tobytes()
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 64, 1025])
-def test_chebyshev_tangent_matches_extended_precision(k):
-    # reference: U_j and U_j' = 2 U_{j-1} + 2x U_{j-1}' - U_{j-2}' by the O(k)
-    # recurrence in 50-digit mpmath.  g within 1e-12 of the band edges, inside
-    # a band, in a gap, and at DEEP's cell at Im lam = -5, where |F| is about 1e9
-    mp = pytest.importorskip("mpmath")
-    cases = [(s, g) for s in (1.0, -1.0)
-             for g in (1e-12, -1e-12, 2e-12 - 1e-12j, -0.4 + 0.1j, 0.3, -1.7 + 0.2j)]
-    deep = _band_offset(DEEP, np.array([0.3 - 5j, 0.61 - 5j]))
-    cases += [(float(s), complex(g)) for s, g in zip(*deep)]
-    for sign, g in cases:
-        got = chebyshev_pair(sign, g, k, 1.0)  # dg = 1: derivatives in g
-        with mp.workdps(50):
-            x = sign * (1 + mp.mpc(g))
-            u, v, du, dv = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
-            for _ in range(k - 1):
-                u, v, du, dv = 2 * x * u - v, u, 2 * u + 2 * x * du - dv, du
-            scale = mp.ldexp(1, -int(got[4]))
-            want = [complex(w * scale) for w in (u, v, sign * du, sign * dv)]
-        for value, ref in zip(got[:4], want):
-            assert abs(value - ref) <= 1e-12 * abs(ref)
-
-
 def test_chebyshev_pair_independent_of_batch_length(cell_a):
     # NumPy multiplies a temporary of 16384 or more elements in place; the
     # kernel must not let that swap the operands of a complex product
     rng = np.random.default_rng(47)
     lams = rng.uniform(0.1, 8.0, 20_000) + 1j * rng.uniform(-1.0, 0.5, 20_000)
-    sign, g, dg = _band_offset(cell_a, lams, slope=True)
-
-    def pairs(s):  # values alone, then values and tangents
-        return chebyshev_pair(sign[s], g[s], 1000) + chebyshev_pair(sign[s], g[s], 1000, dg[s])
-    whole = pairs(slice(None))
-    parts = [pairs(slice(i, i + 4000)) for i in range(0, lams.size, 4000)]
+    sign, g = _band_offset(cell_a, lams)
+    whole = chebyshev_pair(sign, g, 1000)
+    parts = [chebyshev_pair(sign[i:i + 4000], g[i:i + 4000], 1000)
+             for i in range(0, lams.size, 4000)]
     for one, five in zip(whole, zip(*parts)):
         assert one.tobytes() == np.concatenate(five).tobytes()
 
@@ -508,18 +470,6 @@ def test_chebyshev_pair_independent_of_batch_length(cell_a):
 #: to 1e9 + 7 (30 levels)
 _RESCALE_KS = (1, 2, 3, 7, 8, 64, 127, 128, 513, 1000, 4096, 65537, 10**5, 2**20 + 3,
                10**9 + 7)
-
-
-def _same_bits(got, want):
-    """Kernel outputs equal bit for bit: arrays by dtype and bytes, Python numbers by
-    type and repr (which tells -0.0 from 0.0 and prints NaN parts)."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        if isinstance(b, np.ndarray):
-            assert isinstance(a, np.ndarray) and a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
-        else:
-            assert type(a) is type(b) and repr(a) == repr(b)
 
 
 def _rescale_corpus(seed):
@@ -541,37 +491,31 @@ def _rescale_corpus(seed):
 
 def test_chebyshev_pair_matches_per_level_rescale():
     # rescaling every r levels leaves each value off by a power of two until the
-    # next rescale, which no product, sum or rounding sees: values, tangents and e
-    # equal the per-level loop's bit for bit, for arrays and for single frequencies
+    # next rescale, which no product, sum or rounding sees: values and e equal the
+    # per-level loop's bit for bit, for arrays and for single frequencies
     for cell, real, cplx in _rescale_corpus(67):
         for lams in (real, cplx):
-            sign, g, dg = _band_offset(cell, lams, slope=True)
+            sign, g = _band_offset(cell, lams)
             for k in _RESCALE_KS:
-                _same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
-                _same_bits(chebyshev_pair(sign, g, k, dg),
-                           chebyshev_pair_per_level(sign, g, k, dg))
+                same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
             for lam in lams[::lams.size // 6].tolist():
-                sign, g, dg = _band_offset(cell, lam, slope=True)
+                sign, g = _band_offset(cell, lam)
                 for k in _RESCALE_KS:
-                    _same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
-                    _same_bits(chebyshev_pair(sign, g, k, dg),
-                               chebyshev_pair_per_level(sign, g, k, dg))
+                    same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
 
 
 def test_chebyshev_pair_rescale_at_the_float_range():
     # DEEP at Im lam = -20 (|2g| near 1e36) rescales at every level, and so does a
     # batch holding an infinite or NaN frequency: both match the per-level loop
-    sign, g, dg = _band_offset(DEEP, np.linspace(0.1, 8.0, 200) - 20j, slope=True)
+    sign, g = _band_offset(DEEP, np.linspace(0.1, 8.0, 200) - 20j)
     for k in (2, 64, 4096, 10**5):
-        _same_bits(chebyshev_pair(sign, g, k, dg), chebyshev_pair_per_level(sign, g, k, dg))
+        same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
     lams = np.array([0.3, np.inf, np.nan, 2.0 - 0.5j, complex(np.inf, 0.0), 1.0 - 1j * np.inf])
     with np.errstate(invalid="ignore", over="ignore"):
         for batch in (lams[:3].real, lams):
-            sign, g, dg = _band_offset(UnitCell(1.0, 4.0, 0.2), batch, slope=True)
+            sign, g = _band_offset(UnitCell(1.0, 4.0, 0.2), batch)
             for k in (2, 64, 4096):
-                _same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
-                _same_bits(chebyshev_pair(sign, g, k, dg),
-                           chebyshev_pair_per_level(sign, g, k, dg))
+                same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
 
 
 def _outcome(fn, *args):
@@ -584,7 +528,9 @@ def _outcome(fn, *args):
 
 def test_overflow_outcomes_match_per_level_rescale(cell_a, monkeypatch):
     # which entry parts of M^1000 below the axis come out infinite must not depend
-    # on how often the doubling rescales; nor whether a single frequency raises
+    # on how often the doubling rescales; nor whether a single frequency raises.
+    # At |Im lam| tau = 700 (|2g| near 1e304) the per-level loop overflows inside a
+    # level and gives NaN; the kernel keeps the promise of infinite parts there
     rng = np.random.default_rng(71)
     lams = rng.uniform(0.1, 8.0, 4000) - 1j * rng.uniform(0.0, 1.0, 4000)
     scalars = [1.3 - 1j * y / cell_a.transit_time for y in (700.0, 1000.0, 1430.0)]
@@ -597,18 +543,49 @@ def test_overflow_outcomes_match_per_level_rescale(cell_a, monkeypatch):
     got, want = (np.stack([m.alpha, m.beta, m.gamma, m.delta]) for m in (many, many_ref))
     assert got.tobytes() == want.tobytes()
     assert np.any(np.isinf(want)) and not np.any(np.isnan(want))
-    assert list(map(repr, one)) == list(map(repr, one_ref))  # repr: NaN parts compare
+    parts = [complex(x) for x in (one[0].alpha, one[0].beta, one[0].gamma, one[0].delta)]
+    assert all(math.isinf(x.real) and math.isinf(x.imag) for x in parts)
+    assert math.isnan(complex(one_ref[0].alpha).real)
+    assert list(map(repr, one[1:])) == list(map(repr, one_ref[1:]))  # repr: NaN parts compare
     assert OverflowError in one_ref
-    # |2g| past the float range with finite parts: abs raises in both loops
+    # |2g| past the float range with finite parts: abs raises in both loops.  Where the
+    # per-level loop gives NaN from inside a level at finite 2g, the kernel rescales
+    # first and gives a NaN-free pair, or raises where abs does
     for g in (complex(7e307, 7e307), complex(1.5e308, 1.5e308), 1.7e308, 1e300 + 1e300j):
         for k in (1, 2, 3, 5, 1000):
             got, want = (_outcome(pair, 1.0, g, k)
                          for pair in (chebyshev_pair, chebyshev_pair_per_level))
             if isinstance(want, type):
                 assert got is want
+            elif cmath.isfinite(2.0 * g) and cmath.isnan(want[0]):
+                assert got is OverflowError or not cmath.isnan(got[0] + got[1])
             else:
-                _same_bits(got, want)
+                same_bits(got, want)
     assert _outcome(chebyshev_pair, 1.0, complex(7e307, 7e307), 2) is OverflowError
+
+
+def test_doubling_past_half_the_float_range_has_no_nan(cell_a):
+    # from |2g| = 2**500 the bit step would form 2g u' of size |2g|**2: the kernel
+    # rescales before it.  On A at 1.3 - iy/tau, y = 360 to 700 (|2g| from 1e156 to
+    # 1e304), M^1000 has no NaN part and warns of nothing, for arrays and single
+    # frequencies, and the pair equals the per-level loop wherever that has no NaN
+    lams = 1.3 - 1j * np.arange(200.0, 701.0, 10.0) / cell_a.transit_time
+    sign, g = _band_offset(cell_a, lams)
+    assert np.max(np.abs(2.0 * g)) > 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (2, 3, 5, 1000, 1025):
+            got = chebyshev_pair(sign, g, k)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = chebyshev_pair_per_level(sign, g, k)
+            clean = ~(np.isnan(want[0]) | np.isnan(want[1]))
+            assert not np.any(np.isnan(got[0]) | np.isnan(got[1]))
+            same_bits([x[clean] for x in got], [x[clean] for x in want])
+        many = transfer_power(cell_a, lams, 1000)
+        ones = [transfer_power(cell_a, lam, 1000) for lam in lams.tolist()]
+    for entries in (np.stack([many.alpha, many.beta, many.gamma, many.delta]),
+                    np.array([[m.alpha, m.beta, m.gamma, m.delta] for m in ones]).T):
+        assert not np.any(np.isnan(entries)) and np.all(np.isinf(entries[:, -1]))
 
 
 def test_transfer_power_overflows_to_inf_not_nan(cell_a):

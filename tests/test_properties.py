@@ -5,15 +5,24 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+import numpy as np
 
 from stepslab import (DeterminantOverflowError, UnitCell, audit_count,
                       default_im_floor, find_bands, lyapunov)
+from stepslab.scattering import _slab_terms
 
-from conftest import den_winding
+from conftest import den_winding, slab_terms_tangent
 
 
-@settings(max_examples=25)
+def budget(n: int) -> int:
+    """n examples under the tier-1 profile, scaled by the loaded profile's max_examples
+    over hypothesis' default of 100 (8 n under ``stepslab-heavy``)."""
+    return n * settings.default.max_examples // 100
+
+
+@settings(max_examples=budget(25))
 @given(b1=st.floats(0.5, 5.0), b2=st.floats(0.5, 5.0), x2=st.floats(0.1, 0.9),
        k=st.integers(1, 16))
 def test_audit_matches_denominator_winding(b1, b2, x2, k):
@@ -33,7 +42,7 @@ def test_audit_matches_denominator_winding(b1, b2, x2, k):
     assert count == den_winding(cell, k, *rect, n=1 << 13)
 
 
-@settings(max_examples=60)
+@settings(max_examples=budget(60))
 @given(b1=st.floats(0.05, 20.0), b2=st.floats(0.05, 20.0), x2=st.floats(0.005, 0.995),
        lambda_max=st.floats(0.5, 60.0))
 def test_each_band_lies_in_its_bragg_interval(b1, b2, x2, lambda_max):
@@ -49,3 +58,25 @@ def test_each_band_lies_in_its_bragg_interval(b1, b2, x2, lambda_max):
         for edge, edge_type in ((b.lo, b.lo_type), (b.hi, b.hi_type)):
             if edge_type is not None:
                 assert abs(abs(lyapunov(cell, edge)) - 1.0) <= 1e-9
+
+
+@settings(max_examples=budget(40))
+@given(b1=st.floats(-2.0, 2.0), b2=st.floats(-2.0, 2.0), x2=st.floats(0.05, 0.95),
+       log2_k=st.floats(0.0, 12.0), re=st.floats(0.0, 1.0), log10_depth=st.floats(-6.0, 0.0))
+@example(b1=-2.0, b2=-1.0, x2=0.05, log2_k=12.0, re=0.0, log10_depth=-6.0)
+def test_newton_step_matches_the_tangent_derivative(b1, b2, x2, log2_k, re, log10_depth):
+    # Newton's step den/den' with den' from the Chebyshev derivative identity against
+    # den' from the tangents carried through the doubling, within 1e-10 (relative
+    # past a step of 1): b log-uniform in [e^-2, e^2], k log-uniform in [1, 4096], lam
+    # over the first two Bragg intervals at depths 1e-6 to 1, for one frequency and
+    # for an array.  The example, next to lam = 0 at k = 4096, is one where den' =
+    # u'S - 2v' + uS' with both derivatives from the identity misses by 7e-9
+    cell = UnitCell(math.exp(b1), math.exp(b2), x2)
+    assume(abs(cell.contrast) >= 0.05)
+    k = round(2.0 ** log2_k)
+    lam = complex(2.0 * math.pi / cell.transit_time * re, -(10.0 ** log10_depth))
+    _, den, slope, _ = slab_terms_tangent(cell, lam, k)
+    want = den / slope
+    for at in (lam, np.array([lam])):
+        _, den, slope, _ = _slab_terms(cell, at, k, slope=True)
+        assert abs(complex(np.squeeze(den / slope)) - want) <= 1e-10 * max(1.0, abs(want))

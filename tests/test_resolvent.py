@@ -23,7 +23,7 @@ from stepslab import resolvent
 from stepslab.cli import _fmt
 
 from conftest import (DEEP, DEPTH_A1, EDGE_A3, chain_recurrence, chain_reflection,
-                      closed_form_k1_row, den_winding, random_cells)
+                      closed_form_k1_row, den_winding, random_cells, slab_terms_tangent)
 
 #: Seeded random cells.  Nine have their one-cell roots below the default floor,
 #: three of them (|d| = 0.0016, 0.012 and 6e-4) 4.4 to 7.5 times as deep.
@@ -614,6 +614,27 @@ def test_resonance_condition_slope_matches_extended_precision(cell_a, cell_b, ce
                          for lam in lams]
         for got, ref in zip([*h_got, *step_got], h_want + step_want):
             assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("k", [8, 32, 128])
+def test_roots_unchanged_under_the_tangent_derivative(cell_a, cell_b, cell_c, k, monkeypatch):
+    # Newton takes den' from the Chebyshev derivative identity, which can lose digits
+    # next to F = +-1; with den' from the tangents carried through the doubling
+    # instead, the search finds the same roots per band, to 1e-13
+    def search(cell):
+        found = find_resonances(cell, k, Window(0.0, 4.0, default_im_floor(cell)))
+        return sorted((r.band_index, r.lam.real, r.lam.imag) for r in found)
+
+    def tangent_terms(cell, lam, k, slope=False):
+        return slab_terms_tangent(cell, lam, k) if slope else kernel_terms(cell, lam, k)
+
+    kernel_terms = resolvent._slab_terms
+    cells = (cell_a, cell_b, cell_c)
+    got = [search(cell) for cell in cells]
+    monkeypatch.setattr(resolvent, "_slab_terms", tangent_terms)
+    for ours, theirs in zip(got, map(search, cells)):
+        assert [r[0] for r in ours] == [r[0] for r in theirs]
+        assert max(abs(complex(*a[1:]) - complex(*b[1:])) for a, b in zip(ours, theirs)) <= 1e-13
 
 
 def _merge_radius(cell, k, window):

@@ -11,7 +11,11 @@ from stepslab import (Band, BandMismatchError, BoundaryValueWarning, EdgeType,
                       reflection_half_infinite, reflection_k, resonances_k1,
                       transmission_sq, transparency_frequencies)
 
-from conftest import DEEP, EDGE_A3, mp_slab
+from stepslab.monodromy import _band_offset
+from stepslab.scattering import _slab_terms
+
+from conftest import (DEEP, EDGE_A3, mp_den_slope, mp_slab, same_bits,
+                      slab_terms_tangent)
 
 
 def test_unitarity(cell_family):
@@ -262,3 +266,53 @@ def test_reflection_matches_extended_precision_off_axis(cell_a, cell_b, k):
             ref = complex(mp_slab(mp, cell, lam, k)[0])
         got = reflection_k(cell, lam, k)
         assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 256, 1024])
+def test_slab_slope_matches_extended_precision(cell_a, cell_b, cell_c, k):
+    # den' from the Chebyshev derivative identity against 50-digit mpmath: inside a
+    # band, in a gap, at DEEP's Im lam = -5 (|F| about 1e9), and 1/k^3 and 0.2/k^2
+    # below every band edge (the near-edge roots' depths).  Near F = +-1 the identity's
+    # numerators cancel: it may lose up to 16 eps/(|g| k) relative beyond the error of
+    # the tangents carried through the doubling (``slab_terms_tangent``), which grows
+    # like eps |lam| tau k^2 next to an edge
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    cases = [(DEEP, 0.3 - 5j), (DEEP, 0.61 - 5j)]
+    for cell in (cell_a, cell_b, cell_c):
+        bands = find_bands(cell, 4.0)
+        edges = sorted({x for b in bands for x in (b.lo, b.hi) if b.hi_type is not None})
+        cases += [(cell, 0.5 * (bands[0].lo + bands[0].hi) - 0.01j),
+                  (cell, 0.5 * (bands[0].hi + bands[1].lo) - 0.01j)]
+        cases += [(cell, x - 1j * depth) for x in edges for depth in (k**-3.0, 0.2 / k**2)]
+    for cell, lam in cases:
+        _, den, slope, e = _slab_terms(cell, lam, k, slope=True)
+        _, den_t, slope_t, e_t = slab_terms_tangent(cell, lam, k)
+        same_bits((den, e), (den_t, e_t))
+        with mp.workdps(50):
+            want = complex(mp_den_slope(mp, cell, lam, k) * mp.ldexp(1, -e))
+        g = abs(_band_offset(cell, lam)[1])
+        tol = abs(slope_t - want) + (1e-14 + 16.0 * eps / (g * k)) * abs(want)
+        assert abs(slope - want) <= tol
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 1025])
+def test_slab_slope_limit_where_f_rounds_to_one(cell_a, cell_b, k):
+    # where F rounds to +-1 the identity is 0/0 and den' takes U_{k-1}'(+-1): at lam = 0
+    # it equals the derivative that the tangents carry through the doubling bit for bit;
+    # to 4 eps at A's touching points m pi/0.8 (F' = 6e-16 m, g about -5e-32 m^2) and at
+    # the floats next to A's first and B's first band edge where g is 0 (F' = 2.4, 2.24);
+    # for one frequency and for real and complex arrays, warning of nothing
+    cases = [(cell_a, [0.0, math.pi / 0.8, 2.0 * math.pi / 0.8, 1.1591190225020154]),
+             (cell_b, [1.215617911499708])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cell, lams in cases:
+            assert all(1.0 + _band_offset(cell, x)[1] == 1.0 for x in lams)
+            for lam in [*lams, np.array(lams), np.array(lams, dtype=complex)]:
+                (*got, slope, e), (*want, slope_t, e_t) = (
+                    _slab_terms(cell, lam, k, slope=True), slab_terms_tangent(cell, lam, k))
+                same_bits((*got, e), (*want, e_t))
+                at_zero = np.ravel(lam) == 0.0
+                same_bits([np.ravel(slope)[at_zero]], [np.ravel(slope_t)[at_zero]])
+                assert np.all(np.abs(slope - slope_t) <= 4.0 * np.finfo(float).eps * np.abs(slope_t))
