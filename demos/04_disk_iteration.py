@@ -6,7 +6,8 @@ successive iterates of a single linear-fractional automorphism of the
 unit disk.  Its fixed points tell the story: elliptic inside bands (the
 iterates rotate forever), hyperbolic inside gaps and parabolic at
 non-degenerate band edges (the iterates converge to the half-infinite
-reflection coefficient, which has unit modulus)."""
+reflection coefficient, which has unit modulus).  None of this needs equal
+layer transit times."""
 import warnings
 
 import numpy as np
@@ -41,6 +42,9 @@ for label, lam in (("mid-band", mid_band), ("mid-gap", mid_gap),
                    ("non-degenerate edge", bands[0].hi)):
     fp = fixed_points(cell, lam)
     print(f"{label} (lambda = {lam:.5f}): {fp.kind.value}")
+    if fp.z1 == fp.z2:
+        print(f"    z1 = z2 = {fp.z1:+.6f}  |z1| = {abs(fp.z1):.6f}  (a double root)")
+        continue
     print(f"    z1 = {fp.z1:+.6f}  |z1| = {abs(fp.z1):.6f}")
     print(f"    z2 = {fp.z2:+.6f}  |z2| = {abs(fp.z2):.6f}")
 print()
@@ -60,3 +64,20 @@ print()
 print("Inside a gap the finite slab converges to the half-infinite medium:")
 for k in (2, 4, 8, 16):
     print(f"  k={k:2d}: |r_k - r_inf| = {abs(reflection_k(cell, mid_gap, k) - rinf):.2e}")
+print()
+
+print("Unequal layer transit times: the same map, the same classes")
+print("-----------------------------------------------------------")
+skewed = UnitCell(1.0, 3.8, 0.2)
+b1, b2 = find_bands(skewed, 4.0)[:2]
+fmap = mobius_map(skewed, 0.5)
+z = 0.0 + 0.0j
+for k in range(1, 9):
+    z = fmap.apply(z)
+print(f"at lambda = 0.5, 8 iterates from r_0 = 0: |z - r_8| = "
+      f"{abs(z - reflection_k(skewed, 0.5, 8)):.1e}")
+for label, lam in (("mid-band", 0.5 * (b1.lo + b1.hi)), ("mid-gap", 0.5 * (b1.hi + b2.lo))):
+    res = iterate_limit(skewed, lam, r1(skewed, lam))
+    print(f"{label} (lambda = {lam:.5f}): {fixed_points(skewed, lam).kind.value}, "
+          f"converged = {res.converged}, z_N = {res.value:+.8f}")
+print(f"half-infinite medium at mid-gap gives {reflection_half_infinite(skewed, lam):+.8f}")

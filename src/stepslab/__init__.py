@@ -13,8 +13,8 @@ from .errors import (BandMismatchError, BoundaryValueWarning, ContourError,
                      ContourThroughZeroError, DeterminantOverflowError,
                      EdgeDegeneracyError, EmptyWindowWarning,
                      HomogeneousCellError, InvalidRangeError,
-                     NotCommensurateError, PoleProximityError,
-                     RecursionPoleError, StepslabError)
+                     PoleProximityError, RecursionPoleError,
+                     StepslabError)
 from .medium import (UnitCell, is_commensurate, spectral_period,
                      transparency_frequencies)
 from .mobius import (FixedPointAnalysis, FixedPointKind, IterateResult,
@@ -49,8 +49,8 @@ __all__ = [
     "mobius_map", "r1", "r1_modulus_bound", "fixed_points", "iterate_limit",
     "StepslabError", "InvalidRangeError", "EdgeDegeneracyError",
     "BandMismatchError", "PoleProximityError", "RecursionPoleError",
-    "DeterminantOverflowError", "NotCommensurateError",
-    "HomogeneousCellError", "ContourError", "ContourThroughZeroError",
+    "DeterminantOverflowError", "HomogeneousCellError",
+    "ContourError", "ContourThroughZeroError",
     "BoundaryValueWarning", "EmptyWindowWarning",
     "__version__",
 ]

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .errors import (EdgeDegeneracyError, HomogeneousCellError,
-                     InvalidRangeError, NotCommensurateError, StepslabError)
+                     InvalidRangeError, StepslabError)
 from .medium import UnitCell, transparency_frequencies
-from .mobius import fixed_points, iterate_limit, mobius_map, r1
+from .mobius import fixed_points, iterate_limit, r1
 from .monodromy import find_bands
 from .resolvent import (Window, convergence_study, default_im_floor,
                         find_resonances)
@@ -167,7 +167,6 @@ def cmd_fixed_points(cfg: dict) -> int:
     cell = cfg["cell"]
     if cell.homogeneous:
         raise HomogeneousCellError("fixed-point analysis needs a two-step cell (b1 != b2)")
-    mobius_map(cell, 1.0)  # raises NotCommensurateError up front
     xs = np.linspace(0.0, cfg["lambda_max"], cfg["grid_re"] + 1)[1:]
     header = ["lambda", "kind", "z1_re", "z1_im", "z2_re", "z2_im",
               "limit_converged", "limit_re", "limit_im"]
@@ -264,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _SUBCOMMANDS[args.command][0](cfg)
-    except (NotCommensurateError, HomogeneousCellError) as err:
+    except HomogeneousCellError as err:
         print(f"stepslab: precondition violated: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (InvalidRangeError, ValueError, OSError) as err:

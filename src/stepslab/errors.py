@@ -41,11 +41,6 @@ class DeterminantOverflowError(StepslabError, OverflowError):
     count the resonances with ``find_resonances`` instead."""
 
 
-class NotCommensurateError(StepslabError, ValueError):
-    """The cell violates the equal-transit-time condition
-    b2*x2 == b1*(1 - x2) required by this operation."""
-
-
 class HomogeneousCellError(StepslabError, ValueError):
     """The operation is undefined for a homogeneous cell (b1 == b2)."""
 

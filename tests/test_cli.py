@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from stepslab import UnitCell, cli, default_im_floor, find_bands
+from stepslab import UnitCell, cli, default_im_floor, find_bands, lyapunov
 from stepslab.cli import build_parser, main
 from stepslab.errors import ContourThroughZeroError, StepslabError
 
@@ -132,11 +132,26 @@ def test_transmission_homogeneous(capsys):
     assert all(float(r["t_sq"]) == 1.0 for r in rows)
 
 
-def test_fixed_points_noncommensurate_exits_3(capsys):
-    code, _, err = _run(capsys, ["fixed-points", "--b1", "1", "--b2", "3.8",
-                                 "--x2", "0.2"])
+def test_fixed_points_homogeneous_exits_3(capsys):
+    code, _, err = _run(capsys, ["fixed-points", "--b1", "1", "--b2", "1", "--x2", "0.2"])
     assert code == 3
-    assert "transit" in err
+    assert "two-step" in err
+
+
+@pytest.mark.parametrize("cell", [UnitCell(1.0, 3.8, 0.2), UnitCell(3.8, 1.0, 0.8)],
+                         ids=["B", "C"])
+def test_fixed_points_skewed_cell(capsys, cell):
+    # unequal layer transit times: every default grid row is finite, and the kind
+    # is elliptic exactly where |F| < 1
+    code, out, _ = _run(capsys, ["fixed-points", "--b1", repr(cell.b1), "--b2", repr(cell.b2),
+                                 "--x2", repr(cell.x2)])
+    assert code == 0
+    header, rows = _rows(out)
+    assert len(rows) == 200
+    for r in rows:
+        assert all(math.isfinite(float(r[col])) for col in header if col not in
+                   ("kind", "limit_converged")), r
+        assert (r["kind"] == "elliptic") == (abs(lyapunov(cell, float(r["lambda"]))) < 1.0), r
 
 
 def test_fixed_points_kind_flips_at_band_edges(capsys):

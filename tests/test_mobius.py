@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from stepslab import (BoundaryValueWarning, EdgeDegeneracyError,
-                      FixedPointKind, HomogeneousCellError,
-                      NotCommensurateError, UnitCell, find_bands,
-                      fixed_points, iterate_limit, mobius_map, r1,
-                      r1_modulus_bound, reflection_half_infinite,
+                      FixedPointKind, HomogeneousCellError, UnitCell,
+                      find_bands, fixed_points, iterate_limit, mobius_map,
+                      r1, r1_modulus_bound, reflection_half_infinite,
                       reflection_k)
 
 from conftest import EDGE_A1, EDGE_A3
@@ -76,17 +75,43 @@ def test_map_fixes_zero_at_transparency(cell_a):
     assert abs(fmap.apply(0.0)) < 1e-12
 
 
-def test_map_requires_commensurate(cell_b):
-    with pytest.raises(NotCommensurateError):
-        mobius_map(cell_b, 1.0)
-    with pytest.raises(NotCommensurateError):
-        fixed_points(cell_b, 1.0)
+def test_map_and_fixed_points_on_skewed_cells(cell_b, cell_c):
+    # unequal layer transit times: the map still advances the slab, and its fixed
+    # points are fixed
+    for cell in (cell_b, cell_c):
+        band_pts, gap_pts = _regime_points(cell, 10)
+        for lam in band_pts + gap_pts:
+            fmap = mobius_map(cell, lam)
+            for k in range(1, 9):
+                advanced = fmap.apply(reflection_k(cell, lam, k))
+                assert abs(advanced - reflection_k(cell, lam, k + 1)) <= 1e-9, (cell, lam, k)
+            fp = fixed_points(cell, lam)
+            for z in (fp.z1, fp.z2):
+                assert abs(fmap.apply(z) - z) <= 1e-10, (cell, lam)
+
+
+def test_transparent_cell_map_is_a_rotation():
+    # at a one-cell transparency frequency of a skewed cell N = 0 exactly: the map is
+    # a rotation with fixed points 0 and infinity.  Next to it z2 = 1/conj(z1) is
+    # large, and both roots stay fixed to rounding relative to their size
+    cell = UnitCell(0.29217818972231885, 2.155727995675875, 0.23054605158829566)
+    lam = 6.321180943501459
+    assert mobius_map(cell, lam).w[1] == 0.0
+    fp = fixed_points(cell, lam)
+    assert fp.kind is FixedPointKind.ELLIPTIC
+    assert (fp.z1, fp.z2) == (0.0, complex(math.inf))
+    for off in (-1e-9, -1e-12, 1e-12, 1e-9):
+        fmap, fp = mobius_map(cell, lam + off), fixed_points(cell, lam + off)
+        assert fp.z2 == 1.0 / fp.z1.conjugate()
+        for z in (fp.z1, fp.z2):
+            assert abs(fmap.apply(z) - z) <= 1e-12 * abs(z), off
 
 
 def test_homogeneous_map_is_rotation(uniform):
-    fmap = mobius_map(uniform, 1.7)
+    lam = 1.7
+    fmap = mobius_map(uniform, lam)
     z = 0.3 + 0.1j
-    assert abs(fmap.apply(z) - fmap.eta ** 2 * z) <= 1e-15
+    assert abs(fmap.apply(z) - cmath.exp(2j * lam * uniform.transit_time) * z) <= 1e-15
     with pytest.raises(HomogeneousCellError):
         fixed_points(uniform, 1.7)
 
@@ -94,7 +119,6 @@ def test_homogeneous_map_is_rotation(uniform):
 def test_fixed_points_elliptic_mid_band(cell_a):
     fp = fixed_points(cell_a, 0.58)
     assert fp.kind is FixedPointKind.ELLIPTIC
-    assert fp.discriminant == pytest.approx(math.cos(0.464) ** 2 - 0.36, abs=1e-12)
     assert abs(fp.z1) < 1.0 < abs(fp.z2)
     assert fp.z1 * fp.z2.conjugate() == pytest.approx(1.0, abs=1e-10)
 
@@ -120,7 +144,7 @@ def test_fixed_points_hyperbolic_order_by_real_part(cell_a):
 def test_fixed_points_parabolic_at_edge(cell_a):
     fp = fixed_points(cell_a, EDGE_A1)
     assert fp.kind is FixedPointKind.PARABOLIC
-    assert abs(fp.z1 - fp.z2) <= 1e-8
+    assert fp.z1 == fp.z2  # mu_plus = mu_minus = -1: the double root is double
     assert abs(abs(fp.z1) - 1.0) <= 1e-10
 
 

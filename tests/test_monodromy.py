@@ -221,14 +221,13 @@ def test_find_bands_edge_slopes(cell_a):
 
 
 def test_one_rule_for_edges_bands_and_gaps(cell_family):
-    # every edge find_bands returns is an edge of the same type for bloch (and a
-    # parabolic or degenerate map on the commensurate cell A); 1e-11 off a
-    # nondegenerate edge and 1e-5 off a degenerate one, |F| - 1 decides
+    # every edge find_bands returns is an edge of the same type for bloch and
+    # a parabolic or degenerate disk map; 1e-11 off a nondegenerate edge and
+    # 1e-5 off a degenerate one, |F| - 1 decides
     edge_regime = {EdgeType.NONDEGENERATE: Regime.NONDEGENERATE_EDGE,
                    EdgeType.DEGENERATE: Regime.DEGENERATE_EDGE}
     kind = {Regime.BAND: FixedPointKind.ELLIPTIC, Regime.GAP: FixedPointKind.HYPERBOLIC}
     for cell in cell_family:
-        commensurate = cell == UnitCell(1.0, 4.0, 0.2)
         edges = {}
         for band in find_bands(cell, 40.0):
             edges[band.lo] = band.lo_type
@@ -236,17 +235,16 @@ def test_one_rule_for_edges_bands_and_gaps(cell_family):
                 edges[band.hi] = band.hi_type
         for lam, edge_type in edges.items():
             assert bloch(cell, lam).regime is edge_regime[edge_type], (cell, lam)
-            if commensurate and edge_type is EdgeType.NONDEGENERATE:
+            if edge_type is EdgeType.NONDEGENERATE:
                 assert fixed_points(cell, lam).kind is FixedPointKind.PARABOLIC
-            elif commensurate:
+            else:
                 with pytest.raises(EdgeDegeneracyError):
                     fixed_points(cell, lam)
             step = 1e-11 if edge_type is EdgeType.NONDEGENERATE else 1e-5
             for off in (lam - step, lam + step):
                 want = Regime.BAND if abs(lyapunov(cell, off)) < 1.0 else Regime.GAP
                 assert bloch(cell, off).regime is want, (cell, off)
-                if commensurate:
-                    assert fixed_points(cell, off).kind is kind[want], (cell, off)
+                assert fixed_points(cell, off).kind is kind[want], (cell, off)
 
 
 def test_near_tangency_is_a_narrow_gap():

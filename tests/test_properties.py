@@ -9,8 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import numpy as np
 
-from stepslab import (DeterminantOverflowError, UnitCell, audit_count,
-                      default_im_floor, find_bands, lyapunov)
+from stepslab import (DeterminantOverflowError, FixedPointKind, Regime, UnitCell,
+                      audit_count, bloch, default_im_floor, find_bands, fixed_points,
+                      lyapunov, mobius_map, reflection_half_infinite, reflection_k)
 from stepslab.scattering import _slab_terms
 
 from conftest import den_winding, slab_terms_tangent
@@ -80,3 +81,39 @@ def test_newton_step_matches_the_tangent_derivative(b1, b2, x2, log2_k, re, log1
     for at in (lam, np.array([lam])):
         _, den, slope, _ = _slab_terms(cell, at, k, slope=True)
         assert abs(complex(np.squeeze(den / slope)) - want) <= 1e-10 * max(1.0, abs(want))
+
+
+# the disk map over the whole accepted cell space: b log-uniform in [e^-4, e^4]
+cells = st.builds(lambda b1, b2, x2: UnitCell(math.exp(b1), math.exp(b2), x2),
+                  st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(0.005, 0.995))
+
+
+@settings(max_examples=budget(40))
+@given(cell=cells, lam=st.floats(0.05, 20.0), k=st.integers(0, 64))
+def test_disk_map_appends_one_cell(cell, lam, k):
+    # W(r_k) = r_{k+1}, r_0 = 0, for every two-step cell
+    r_k = reflection_k(cell, lam, k) if k else 0.0
+    assert abs(mobius_map(cell, lam).apply(r_k) - reflection_k(cell, lam, k + 1)) <= 1e-10
+
+
+@settings(max_examples=budget(40))
+@given(cell=cells, lam=st.floats(0.05, 20.0), radius=st.floats(0.0, 0.999),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_disk_map_keeps_the_disk(cell, lam, radius, angle):
+    z = radius * complex(math.cos(angle), math.sin(angle))
+    assert abs(mobius_map(cell, lam).apply(z)) < 1.0
+
+
+@settings(max_examples=budget(40))
+@given(cell=cells, n=st.integers(1, 8))
+def test_attracting_fixed_point_is_the_half_infinite_limit(cell, n):
+    # at a Bragg frequency inside an open gap, the fixed point where |W'| = 1/|c z + e|^2
+    # is below 1 is reflection_half_infinite, bit for bit: the same expression
+    lam = n * math.pi / cell.transit_time
+    assume(not cell.homogeneous and bloch(cell, lam).regime is Regime.GAP)
+    fp = fixed_points(cell, lam)
+    assert fp.kind is FixedPointKind.HYPERBOLIC
+    _, _, c, e = mobius_map(cell, lam).w
+    attracting = max((fp.z1, fp.z2), key=lambda z: abs(c * z + e))
+    assert abs(c * attracting + e) > 1.0
+    assert attracting == reflection_half_infinite(cell, lam)
