@@ -21,8 +21,8 @@ from .mobius import (FixedPointAnalysis, FixedPointKind, IterateResult,
                      MobiusMap, fixed_points, iterate_limit, mobius_map, r1,
                      r1_modulus_bound)
 from .monodromy import (Band, BlochData, EdgeType, MonodromyMatrix, Regime,
-                        bloch, find_bands, lyapunov, lyapunov_derivative,
-                        monodromy, transfer_power)
+                        bloch, find_bands, lyapunov, monodromy,
+                        transfer_power)
 from .resolvent import (ConvergenceRow, Resonance, Window, audit_count,
                         chain_determinants, convergence_study,
                         count_zeros_rectangle, default_im_floor,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "UnitCell", "is_commensurate", "spectral_period", "transparency_frequencies",
     "MonodromyMatrix", "BlochData", "Band", "EdgeType", "Regime",
-    "monodromy", "lyapunov", "lyapunov_derivative",
+    "monodromy", "lyapunov",
     "bloch", "transfer_power", "find_bands",
     "reflection_k", "transmission_sq", "perfect_transmission_frequencies",
     "reflection_half_infinite",

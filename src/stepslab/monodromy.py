@@ -143,19 +143,30 @@ def lyapunov(cell: UnitCell, lam):
                   - cell.mismatch_minus_one * np.cos(lam * cell.transit_skew))
 
 
-def lyapunov_derivative(cell: UnitCell, lam):
-    """dF/dlam, analytically differentiated."""
-    tt, ts = cell.transit_time, cell.transit_skew
-    return 0.5 * (-cell.mismatch_plus_one * tt * np.sin(lam * tt)
-                  + cell.mismatch_minus_one * ts * np.sin(lam * ts))
-
-
 def _half_angles(cell: UnitCell, lam):
     """(lam, lib, half) with lam and lib from ``_arith`` and half = (sin a, cos a, sin b, cos b)
-    at a = lam tau/2, b = lam skew/2: all the trigonometry the slab terms need at real lam."""
+    at a = lam tau/2, b = lam skew/2: all the trigonometry the slab terms need at real lam.
+    A complex lam takes them from real functions of each angle's parts (``_complex_sin_cos``)."""
     lam, lib = _arith(lam)
     a, b = 0.5 * lam * cell.transit_time, 0.5 * lam * cell.transit_skew
+    if lib is cmath or lib is np and lam.dtype.kind == "c":
+        return lam, lib, (*_complex_sin_cos(a), *_complex_sin_cos(b))
     return lam, lib, (lib.sin(a), lib.cos(a), lib.sin(b), lib.cos(b))
+
+
+def _complex_sin_cos(z):
+    """(sin z, cos z) from x = Re z and y = Im z: sin z = sin x cosh y + i cos x sinh y and
+    cos z = cos x cosh y - i sin x sinh y, with ``math`` for one complex and numpy for an array,
+    about half the cost of complex sin and cos.  Each part is within a few eps cosh y; past
+    |y| of about 710 ``math`` raises OverflowError and numpy gives infinite parts."""
+    x, y = z.real, z.imag
+    if isinstance(z, complex):
+        s, c, sh, ch = math.sin(x), math.cos(x), math.sinh(y), math.cosh(y)
+        return complex(s * ch, c * sh), complex(c * ch, -(s * sh))
+    s, c, sh, ch = np.sin(x), np.cos(x), np.sinh(y), np.cosh(y)
+    sin, cos = np.empty(z.shape, complex), np.empty(z.shape, complex)
+    sin.real, sin.imag, cos.real, cos.imag = s * ch, c * sh, c * ch, -(s * sh)
+    return sin, cos
 
 
 def _entries(cell: UnitCell, half):

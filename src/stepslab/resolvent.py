@@ -27,19 +27,20 @@ from .monodromy import Band, _cell_count, find_bands
 from .scattering import (_blockwise, _quotient, _slab_terms, _validate_band,
                          perfect_transmission_frequencies, reflection_k)
 
-#: A converged root must satisfy |d*Q - 1| below this (see ``_converged``).
-RESIDUAL_TOL = 1e-10
-
-#: A run meets the weak-contrast residual floor only with a step |den/den'| at most this.
-_FLOOR_STEP = 1e-9
-
 #: Roots with Im(lambda) above this are rejected as spurious.
 _IM_CEILING = -1e-12
 
 _NEWTON_MAX_ITER = 50
 
-#: Steps in a row without halving its best |h| that stop a run short of RESIDUAL_TOL.
+#: Steps in a row without halving its best |step| that stop a run short of its step bound.
 _STALL_STEPS = 16
+
+#: A run is a root candidate when its last Newton step |den/den'| is at most the merge
+#: radius times this.
+_STEP_SHARE = 0.01
+
+#: Points on the circle, of half the merge radius, on which den must wind once about a root.
+_CIRCLE_POINTS = 16
 
 #: A contour count starts from at most 2**17 points per side, and gives up once refinement
 #: has added as many samples again (4 * 2**17) or one step has been halved 40 times.
@@ -71,7 +72,8 @@ class Window:
 
 @dataclass(frozen=True)
 class Resonance:
-    """One scattering pole with solver metadata."""
+    """One scattering pole with solver metadata: ``residual`` is the size of the Newton
+    step |den/den'| left at lam, its location error."""
 
     lam: complex
     residual: float
@@ -156,8 +158,8 @@ def resonances_k1(cell: UnitCell, re_max: float, re_min: float = 0.0) -> list[Re
         re = m * spacing
         if re >= re_min - 1e-12:
             lam = complex(re, depth)
-            resid = abs(d * q_recursion(cell, lam, 1) - 1.0)
-            out.append(Resonance(lam, resid, _assign_band(bands, re), 0))
+            step = abs(_resonance_condition(cell, lam, 1))
+            out.append(Resonance(lam, step, _assign_band(bands, re), 0))
         m += 1
     return out
 
@@ -171,64 +173,69 @@ def _assign_band(bands: list[Band], re: float) -> int | None:
 
 @_blockwise
 def _resonance_condition(cell: UnitCell, lam, k: int):
-    """(h, den/den') from one kernel evaluation: the residual h = d Q - 1 =
-    (d^2 - 1) den/(den - d num), and the Newton step on the entire den = u S - 2v, whose
-    zeros are the resonances (the 2**e scale cancels in both quotients)."""
-    d = cell.contrast
+    """Newton's step den/den' on the entire slab denominator den = u S - 2v, whose zeros are
+    the resonances, from one kernel evaluation (the 2**e scale cancels in the quotient)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num, den, dden, _ = _slab_terms(cell, lam, k, slope=True)
-        return (d * d - 1.0) * den / (den - d * num), den / dden
+        _, den, dden, _ = _slab_terms(cell, lam, k, slope=True)
+        return den / dden
 
 
-def _converged(cell: UnitCell, h, step):
-    """|h| <= RESIDUAL_TOL, or |h| <= 16 eps/d^2 with a step |den/den'| <= _FLOOR_STEP.
-    h = (d^2 - 1) den/(den - d num) carries den's rounding over den - d num, of order d^2 at
-    a root, so weak contrast meets RESIDUAL_TOL by chance.  The step bound turns away runs
-    that meet the floor off a root and keeps copies of one root within 2 _FLOOR_STEP."""
-    floor = (np.abs(step) <= _FLOOR_STEP) * 16.0 * np.finfo(float).eps / cell.contrast**2
-    return np.abs(h) <= np.fmax(RESIDUAL_TOL, floor)
+def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray, tol: float):
+    """Vectorized Newton on den, the entire denominator of r_k, each step den/den' from one
+    kernel call (``_resonance_condition``), with two stops.
 
-
-def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray):
-    """Vectorized Newton on den, the entire denominator of r_k, with two stops.
-
-    Each step takes den/den' and the residual h = d Q - 1 from one kernel
-    call (``_resonance_condition``), so the poles of h (the zeros of
-    den - d num) do not scatter the runs.  Runs whose step is not finite
-    are dropped.  A run stops one polishing step after it meets ``_converged``, which
-    drives the residual toward its rounding level.  Short of it, a run stalls
-    once _STALL_STEPS steps in a row have not brought |h| below half its best
-    so far, and stops there or at _NEWTON_MAX_ITER with its last iterate.  Returns the
-    iterates, their |h| (inf where ``_converged`` fails) and their step counts.
+    Runs whose step is not finite are dropped.  A run whose step |den/den'| has fallen to
+    tol is polished down to its rounding: it stops at its first step that does not halve its
+    best, or that would move it by at most 4 ulps.  Short of tol, a run stalls once
+    _STALL_STEPS steps in a row have not brought |step| below half its best so far, and
+    stops there or at _NEWTON_MAX_ITER.  Returns the last iterates, the size of the step
+    each would take next (its location error) and their step counts.
     """
     z = seeds.astype(complex)
-    h, step = _resonance_condition(cell, z, k)
+    step = _resonance_condition(cell, z, k)
     alive = np.isfinite(step)
     iters = np.zeros(z.shape, dtype=int)
-    polish = np.zeros(z.shape, dtype=int)
-    best, stall = np.abs(h), np.zeros(z.shape, dtype=int)
+    met = np.zeros(z.shape, dtype=bool)
+    best, stall = np.abs(step), np.zeros(z.shape, dtype=int)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
         znew = z[idx] - step[idx]
-        hnew, snew = _resonance_condition(cell, znew, k)
+        snew = _resonance_condition(cell, znew, k)
         ok = np.isfinite(snew)
         good = idx[ok]
         z[good] = znew[ok]
-        h[good] = hnew[ok]
         step[good] = snew[ok]
         iters[good] = it
         alive[idx[~ok]] = False
-        size = np.abs(hnew[ok])
-        hit = good[_converged(cell, hnew[ok], snew[ok])]
-        polish[hit] += 1
-        # freeze only after one extra step past the tolerance
-        alive[hit[polish[hit] >= 2]] = False
+        size = np.abs(snew[ok])
+        met[good[size <= tol]] = True
         stall[good] = np.where(size < 0.5 * best[good], 0, stall[good] + 1)
         best[good] = np.fmin(best[good], size)
-        alive[good[(stall[good] >= _STALL_STEPS) & (polish[good] == 0)]] = False
-    return z, np.where(_converged(cell, h, step), np.abs(h), np.inf), iters
+        # a run within tol has reached its rounding at its first step that does not halve
+        # its best, or that would move it by at most 4 ulps
+        done = met[good] & (size <= 4.0 * math.ulp(1.0) * np.abs(z[good]))
+        alive[good[done | (stall[good] >= np.where(met[good], 1, _STALL_STEPS))]] = False
+    return z, np.abs(step), iters
+
+
+def _winds_once(cell: UnitCell, k: int, roots: np.ndarray, radius: float) -> np.ndarray:
+    """Whether den winds exactly once on the circle of the given radius about each root:
+    _CIRCLE_POINTS samples from one kernel call, every phase step below pi/2 and the phase
+    total 2 pi (the argument principle applied to one root; den is entire)."""
+    ring = radius * np.exp(2j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)
+    den = _slab_den(cell, roots[:, None] + ring, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.angle(np.roll(den, -1, axis=1) / den)
+    clear = np.all(np.abs(steps) < 0.5 * math.pi, axis=1)
+    return clear & (np.abs(np.sum(steps, axis=1) - 2.0 * math.pi) < 1.0)
+
+
+@_blockwise
+def _slab_den(cell: UnitCell, lam, k: int):
+    """den = u S - 2v up to its positive scale 2**e, which leaves its phase alone."""
+    return _slab_terms(cell, lam, k)[1]
 
 
 def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
@@ -243,12 +250,12 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     band; they stop at the first marker past the window's end.  Imaginary parts use the
     ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled rungs, whose deepest reaches
     the one-cell roots at k = 1.  All seeds run Newton together on the entire slab
-    denominator den, each step one kernel evaluation of den/den' and of the residual
-    |d Q - 1|; a run that stalls (no halving of its best residual in _STALL_STEPS steps)
-    stops early.  Converged roots (``_converged``) are filtered to the window, deduplicated
-    greedily in residual order within 1/20 of the smallest spacing of neighbouring markers
-    (edges and peaks) of the searched bands, which follows the roots' own spacing down to
-    its 1/k^2 crowding at the edges, and assigned a band by real-part membership.
+    denominator den (``_newton_batch``).  Runs inside the window whose last step |den/den'|
+    is at most _STEP_SHARE of the merge radius, 1/20 of the smallest spacing of neighbouring
+    markers (edges and peaks) of the searched bands, which follows the roots' own spacing
+    down to its 1/k^2 crowding at the edges, are deduplicated greedily in the order of that
+    step within the radius; each survivor must wind den once on a circle of half the radius
+    (``_winds_once``), and is assigned a band by real-part membership.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -280,16 +287,19 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         re_parts.append(marks[:np.searchsorted(marks, window.re_max, "right") + 1])
     seeds = (np.concatenate(re_parts)[:, None] + 1j * depths[None, :]).ravel()
 
-    roots, resid, iters = _newton_batch(cell, k, seeds)
+    # kept roots lie more than the radius apart, so their circles of half the radius are
+    # disjoint and each certified root is a distinct zero of den
+    radius = spacing / 20.0
+    bound = _STEP_SHARE * radius
+    roots, resid, iters = _newton_batch(cell, k, seeds, bound)
 
     order = np.argsort(resid, kind="stable")
     z = roots[order]
-    inside = (np.isfinite(resid[order]) & (z.imag < _IM_CEILING)
+    inside = ((resid[order] <= bound) & (z.imag < _IM_CEILING)
               & (z.imag >= window.im_min - 1e-9)
               & (z.real >= window.re_min - 1e-9) & (z.real <= window.re_max + 1e-9))
     # kept roots binned by real part at twice the radius: one within the radius of a
     # candidate sits in the candidate's bin or a neighbouring one
-    radius = spacing / 20.0
     kept: list[tuple[complex, float, int]] = []
     bins: dict[float, list[complex]] = {}
     cand, z = order[inside], z[inside]
@@ -302,7 +312,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
             bins.setdefault(key, []).append(lam)
             kept.append((lam, float(resid[i]), int(iters[i])))
 
-    kept.sort(key=lambda t: (t[0].real, t[0].imag))
+    once = _winds_once(cell, k, np.array([t[0] for t in kept], dtype=complex), 0.5 * radius)
+    kept = sorted((t for t, ok in zip(kept, once) if ok), key=lambda t: (t[0].real, t[0].imag))
     return [Resonance(lam, r, _assign_band(bands, lam.real), it) for lam, r, it in kept]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stepslab import UnitCell, lyapunov, resonances_k1
-from stepslab.monodromy import _half_angles, _offset
+from stepslab.monodromy import _arith, _half_angles, _offset
 from stepslab.scattering import _closed_s_n
 
 try:
@@ -90,6 +90,14 @@ def closed_form_k1_row(cell: UnitCell, band, im_floor: float) -> tuple[str, str,
     return ("1", str(len(ims)), *extremes)
 
 
+def lyapunov_derivative(cell: UnitCell, lam):
+    """dF/dlam, analytically differentiated: the reference for the slope at band edges
+    and touching points."""
+    tt, ts = cell.transit_time, cell.transit_skew
+    return 0.5 * (-cell.mismatch_plus_one * tt * np.sin(lam * tt)
+                  + cell.mismatch_minus_one * ts * np.sin(lam * ts))
+
+
 def lyapunov_curvature(cell: UnitCell, lam):
     """d2F/dlam2, analytically differentiated: the reference for the curvature at
     degenerate band edges."""
@@ -121,30 +129,55 @@ def mp_slab(mp, cell: UnitCell, lam, k: int):
     return r, 4 / (abs(num) ** 2 + 4)
 
 
+def _mp_f_s(mp, cell: UnitCell, z):
+    """(F, S) at z in mpmath, S = a + d + i(b1 g - b/b1) from the one-cell entries."""
+    b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
+    p, m = b2 + b1, b2 - b1
+    arg_sum = z * (x2 * b2 + (1 - x2) * b1)
+    arg_diff = z * (b1 * (1 - x2) - b2 * x2)
+    a = (p * mp.cos(arg_sum) + m * mp.cos(arg_diff)) / (2 * b2)
+    b = (p * mp.sin(arg_sum) - m * mp.sin(arg_diff)) / 2
+    g = -(p * mp.sin(arg_sum) + m * mp.sin(arg_diff)) / (2 * b1 * b2)
+    d = (p * mp.cos(arg_sum) - m * mp.cos(arg_diff)) / (2 * b1)
+    return (a + d) / 2, a + d + 1j * (b1 * g - b / b1)
+
+
+def mp_root(mp, cell: UnitCell, lam, k: int) -> complex:
+    """The zero of the slab denominator den = U_{k-1}(F) S - 2 U_{k-2}(F) next to lam,
+    polished by ``mp.findroot`` at mpmath's working precision: F and S from the one-cell
+    entries (``_mp_f_s``) and U_j by the O(k) recurrence U_j = 2F U_{j-1} - U_{j-2}."""
+    def den(z):
+        f, s = _mp_f_s(mp, cell, z)
+        u, v = mp.mpf(1), mp.mpf(0)
+        for _ in range(k - 1):
+            u, v = 2 * f * u - v, u
+        return u * s - 2 * v
+    z = mp.mpc(lam)  # secant from two points 1e-12 apart: roots crowd to 1e-6 at the edges
+    return complex(mp.findroot(den, (z, z + mp.mpf(10) ** -12),
+                               tol=mp.mpf(10) ** (-2 * mp.mp.dps), verify=False))
+
+
 def mp_den_slope(mp, cell: UnitCell, lam, k: int):
     """d/dlam of the slab denominator den = U_{k-1}(F) S - 2 U_{k-2}(F) in mpmath at
     its working precision: F and S = a + d + i(b1 g - b/b1) from the one-cell entries,
     their derivatives by ``mp.diff``, and (U_j, U_j') by the O(k) recurrences
     U_j = 2F U_{j-1} - U_{j-2}, U_j' = 2F' U_{j-1} + 2F U_{j-1}' - U_{j-2}'."""
-    b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
-    p, m = b2 + b1, b2 - b1
-
-    def f_s(z):
-        arg_sum = z * (x2 * b2 + (1 - x2) * b1)
-        arg_diff = z * (b1 * (1 - x2) - b2 * x2)
-        a = (p * mp.cos(arg_sum) + m * mp.cos(arg_diff)) / (2 * b2)
-        b = (p * mp.sin(arg_sum) - m * mp.sin(arg_diff)) / 2
-        g = -(p * mp.sin(arg_sum) + m * mp.sin(arg_diff)) / (2 * b1 * b2)
-        d = (p * mp.cos(arg_sum) - m * mp.cos(arg_diff)) / (2 * b1)
-        return (a + d) / 2, a + d + 1j * (b1 * g - b / b1)
-
     z = mp.mpc(lam)
-    f, s = f_s(z)
-    df, ds = (mp.diff(lambda t, i=i: f_s(t)[i], z) for i in (0, 1))
+    f, s = _mp_f_s(mp, cell, z)
+    df, ds = (mp.diff(lambda t, i=i: _mp_f_s(mp, cell, t)[i], z) for i in (0, 1))
     u, v, du, dv = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
     for _ in range(k - 1):
         u, v, du, dv = 2 * f * u - v, u, 2 * df * u + 2 * f * du - dv, du
     return du * s + u * ds - 2 * dv
+
+
+def half_angles_complex_trig(cell: UnitCell, lam):
+    """``monodromy._half_angles`` with complex sin and cos of a complex half angle
+    (``cmath`` for one frequency, numpy for an array): the reference for the kernel's
+    half angles from the real sin, cos, sinh and cosh of each angle's parts."""
+    lam, lib = _arith(lam)
+    a, b = 0.5 * lam * cell.transit_time, 0.5 * lam * cell.transit_skew
+    return lam, lib, (lib.sin(a), lib.cos(a), lib.sin(b), lib.cos(b))
 
 
 def same_bits(got, want):

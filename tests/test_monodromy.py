@@ -8,12 +8,12 @@ import pytest
 
 from stepslab import (EdgeDegeneracyError, EdgeType, FixedPointKind,
                       InvalidRangeError, Regime, UnitCell, bloch, find_bands,
-                      fixed_points, lyapunov, lyapunov_derivative, monodromy,
-                      spectral_period, transfer_power)
-from stepslab.monodromy import _band_offset, _bisect, chebyshev_pair
+                      fixed_points, lyapunov, monodromy, spectral_period,
+                      transfer_power)
+from stepslab.monodromy import _band_offset, _bisect, _half_angles, chebyshev_pair
 
 from conftest import (DEEP, EDGE_A1, EDGE_A2, EDGE_A3, chebyshev_pair_per_level,
-                      lyapunov_curvature, random_cells, same_bits)
+                      lyapunov_curvature, lyapunov_derivative, random_cells, same_bits)
 
 
 def _random_lams(rng, n, re=(0.05, 8.0), im=(-1.0, 1.0)):
@@ -604,3 +604,45 @@ def test_transfer_power_overflow_is_silent(cell_a):
         warnings.simplefilter("error")
         mk = transfer_power(cell_a, lams, 1000)
     assert np.any(np.isinf(mk.alpha))
+
+
+def test_complex_half_angles_match_extended_precision(cell_b):
+    # sin and cos of a = lam tau/2 and b = lam skew/2 from the real sin, cos, sinh and cosh
+    # of their parts, against 40-digit mpmath at the same float angles, for |Im a| up to
+    # 30 and Re a on and next to multiples of pi/2: each part within 4 eps cosh(Im), and
+    # one frequency within that of the array
+    mp = pytest.importorskip("mpmath")
+    tau, skew = cell_b.transit_time, cell_b.transit_skew
+    re = [m * math.pi / 2.0 + d for m in range(7) for d in (0.0, 1e-15, -1e-9, 1e-3, 0.4)]
+    im = [0.0, 1e-12, -1e-3, 0.5, -2.0, 7.5, -18.0, 30.0, -30.0]
+    lams = [complex(2.0 * x / tau, 2.0 * y / tau) for x in re for y in im]
+    many = _half_angles(cell_b, np.array(lams))[2]
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for i, lam in enumerate(lams):
+            one = _half_angles(cell_b, lam)[2]
+            angles = (0.5 * lam * tau, 0.5 * lam * skew)
+            for j, (angle, fn) in enumerate(zip(np.repeat(angles, 2), (mp.sin, mp.cos) * 2)):
+                want = complex(fn(mp.mpc(angle)))
+                bound = 4.0 * eps * math.cosh(angle.imag)
+                for got in (one[j], many[j][i]):
+                    assert abs(got.real - want.real) <= bound, (lam, j)
+                    assert abs(got.imag - want.imag) <= bound, (lam, j)
+                assert abs(one[j] - many[j][i]) <= bound, (lam, j)
+
+
+def test_complex_half_angles_leave_the_float_range(cell_a):
+    # the _arith contract: past |Im a| of about 710 one frequency raises OverflowError and
+    # an array gives parts that are not finite; just inside it both are finite
+    tau = cell_a.transit_time
+    for y, finite in ((700.0, True), (711.0, False), (900.0, False)):
+        lam = 1.3 - 2j * y / tau
+        if finite:
+            assert all(cmath.isfinite(x) for x in _half_angles(cell_a, lam)[2])
+        else:
+            with pytest.raises(OverflowError):
+                _half_angles(cell_a, lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sa, ca, _, _ = _half_angles(cell_a, np.array([lam, 0.5 - 0.1j]))[2]
+        assert np.all(np.isfinite([sa[1], ca[1]]))
+        assert np.isfinite(sa[0]) == finite and np.isfinite(ca[0]) == finite

@@ -23,7 +23,8 @@ from stepslab import resolvent
 from stepslab.cli import _fmt
 
 from conftest import (DEEP, DEPTH_A1, EDGE_A3, chain_recurrence, chain_reflection,
-                      closed_form_k1_row, den_winding, random_cells, slab_terms_tangent)
+                      closed_form_k1_row, den_winding, half_angles_complex_trig, mp_root,
+                      random_cells, slab_terms_tangent)
 
 #: Seeded random cells.  Nine have their one-cell roots below the default floor,
 #: three of them (|d| = 0.0016, 0.012 and 6e-4) 4.4 to 7.5 times as deep.
@@ -235,12 +236,14 @@ def _complete_band_counts(cell, k, re_max):
     return {b.index: counts[b.index] for b in find_bands(cell, re_max) if b.hi_type is not None}
 
 
-@pytest.mark.parametrize("k", [64, 128])
+@pytest.mark.parametrize("k", [64, 128, 256, 1024])
 def test_reference_cells_complete_at_large_k(cell_a, cell_b, cell_c, k):
-    # the paper's count: k - 1 or k resonances in every band
-    for cell in (cell_a, cell_b, cell_c):
-        counts = _complete_band_counts(cell, k, 4.0)
-        assert len(counts) == 2 and all(n in (k - 1, k) for n in counts.values()), (cell, counts)
+    # the paper's count, k - 1 or k resonances in every band, as the peak law gives it:
+    # bands 1 and 2 (Re <= 4) hold k and k roots on A and C, k and k - 1 on B.  Acceptance
+    # on |d Q - 1| <= 1e-10 dropped converged roots there from k = 128 on C and from
+    # k = 256 on A and B, whose residual read 1e-10 to 1e-7 at Newton steps below 6e-16
+    for cell, want in ((cell_a, {1: k, 2: k}), (cell_b, {1: k, 2: k - 1}), (cell_c, {1: k, 2: k})):
+        assert _complete_band_counts(cell, k, 4.0) == want, cell
 
 
 @pytest.mark.parametrize("k", [8, 32])
@@ -363,7 +366,7 @@ def test_audit_matches_denominator_winding(cell_a, cell_b, cell_c):
 @pytest.mark.parametrize("k", [32, 64])
 def test_weak_contrast_band_complete_by_winding(k):
     # d = 5.8e-4: the residual's rounding level is about eps/d^2, so a fixed 1e-10 on it
-    # drops one band-3 root at k = 32 and one at k = 64; the rectangle runs from the
+    # dropped one band-3 root at k = 32 and one at k = 64; the rectangle runs from the
     # middle of gap 2-3 to the middle of gap 3-4
     cell = UnitCell(3.7302546077730416, 3.7345694226238706, 0.7804410078050841)
     below, band, above = find_bands(cell, 4.0 * math.pi / cell.transit_time)[1:4]
@@ -374,16 +377,18 @@ def test_weak_contrast_band_complete_by_winding(k):
             == den_winding(cell, k, *rect) == k)
 
 
-@pytest.mark.parametrize("k", [8, 16, 32, 64])
+@pytest.mark.parametrize("k", [8, 16, 32, 64, 128])
 def test_weakest_contrast_holds_at_most_k_roots_per_band(k):
-    # |d| = 5e-6 puts the residual floor 16 eps/d^2 at 1.4e-4, where runs that have not
-    # converged read below it 1e-6 from a root; only a step within resolvent._FLOOR_STEP
-    # lets a run in at the floor, or band 1 holds 11 roots at k = 8.  den rounds to 0 over
-    # a patch about 1e-6 wide around each root, so copies lie 1e-6 to 1.4e-6 apart, and
-    # only a merge radius at the markers' scale (2e-2 to 2.5e-3 at k = 8 to 64) joins them
+    # |d| = 5e-6: a residual floor 16 eps/d^2 = 1.4e-4 on |d Q - 1| once let in runs 1e-6
+    # from a root (band 1 held 11 roots at k = 8).  den rounds to 0 over a patch about
+    # 1e-6 wide around each root, so copies lie 1e-6 to 1.4e-6 apart, and only a merge
+    # radius at the markers' scale (2e-2 to 2.5e-3 at k = 8 to 64) joins them.  Band 1
+    # holds the k roots den's winding counts; acceptance on the residual found 28, 61 and
+    # 112 at k = 32, 64 and 128
     cell = UnitCell(1.0, 1.00001, 0.3)
     found = find_resonances(cell, k, Window(0.0, 4.0, default_im_floor(cell)))
-    assert found and max(collections.Counter(r.band_index for r in found).values()) <= k
+    counts = collections.Counter(r.band_index for r in found)
+    assert max(counts.values()) <= k and counts[1] == k
 
 
 @pytest.mark.parametrize("shift", [1e-13, -1e-13, 3e-13, -3e-13, 1e-12, -1e-12])
@@ -400,17 +405,79 @@ def test_weakest_contrast_count_survives_edge_shifts(shift, monkeypatch):
         assert found and max(collections.Counter(r.band_index for r in found).values()) <= k, k
 
 
-@pytest.mark.xfail(strict=True, reason="band 4 loses converged roots whose |h| reads just "
-                   "above RESIDUAL_TOL (ROADMAP item 2)")
 def test_band_complete_when_residual_rounds_above_tolerance():
-    # the root 3.2174662949840793 - 3.14e-7i has converged (step 6e-17 to 3e-16), but h
-    # reads 9.0e-11 to 4.4e-10 with the last bit of lam; the search returns 125 of the
-    # winding's 127 band-4 roots (gap midpoints, down to -0.05, the roots lie above -6e-4)
+    # the root 3.2174662949840793 - 3.14e-7i has converged (step 6e-17 to 3e-16), but the
+    # residual h = d Q - 1 reads 9.0e-11 to 4.4e-10 with the last bit of lam; a search that
+    # accepted on |h| <= 1e-10 returned 125 of the winding's 127 band-4 roots.  Acceptance
+    # on the step and a one-zero circle keeps all 127 (gap midpoints, down to -0.05, the
+    # roots lie above -6e-4)
     cell, k = UnitCell(4.557, 0.5, 0.3), 128
     below, band, above = find_bands(cell, 6.0)[2:5]
     found = find_resonances(cell, k, Window(0.0, 6.0, default_im_floor(cell)))
     rect = (0.5 * (below.hi + band.lo), 0.5 * (band.hi + above.lo), -0.05, band.width / k)
     assert sum(r.band_index == band.index for r in found) == count_zeros_rectangle(cell, k, *rect)
+    # bands 3, 4 and 5 held 127, 125 and 125 under that acceptance, 126, 126 and 124 with
+    # the kernel's half angles taken from the real parts
+    counts = collections.Counter(r.band_index for r in found)
+    assert [counts[i] for i in range(2, 7)] == [k - 1] * 5
+
+
+def test_band_one_whole_at_k_4096(cell_a, cell_b, cell_c):
+    # at k = 4096 acceptance on the residual kept 3961, 3979 and 3978 of band 1's roots
+    for cell in (cell_a, cell_b, cell_c):
+        found = find_resonances(cell, 4096, Window(0.0, 2.0, default_im_floor(cell)))
+        assert sum(r.band_index == 1 for r in found) == 4096, cell
+
+
+@pytest.mark.parametrize("k", [256, 1024])
+def test_edge_roots_match_extended_precision(cell_a, k):
+    # the roots next to the band edges are the ones acceptance on the residual dropped;
+    # the two nearest each edge of bands 1 and 2 lie within 1e-10 of a 40-digit polish
+    # of den's zero, and each reports its last Newton step as its residual
+    mp = pytest.importorskip("mpmath")
+    found = find_resonances(cell_a, k, Window(0.0, 4.0, default_im_floor(cell_a)))
+    for band in find_bands(cell_a, 4.0)[:2]:
+        roots = sorted((r for r in found if r.band_index == band.index), key=lambda r: r.lam.real)
+        for r in roots[:2] + roots[-2:]:
+            with mp.workdps(40):
+                assert abs(r.lam - mp_root(mp, cell_a, r.lam, k)) <= 1e-10, r
+            assert r.residual <= 1e-13
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_weak_contrast_roots_match_extended_precision(k):
+    # d = 5.8e-4: den cancels by about 1/d, so Newton's last steps wander at 1e-11; every
+    # root of bands 1 to 3 still lies within 1e-10 of a 40-digit polish
+    mp = pytest.importorskip("mpmath")
+    cell = UnitCell(3.7302546077730416, 3.7345694226238706, 0.7804410078050841)
+    band3 = find_bands(cell, 4.0 * math.pi / cell.transit_time)[2]
+    found = find_resonances(cell, k, Window(0.0, band3.hi, default_im_floor(cell)))
+    assert len(found) == 3 * k
+    with mp.workdps(40):
+        assert max(abs(r.lam - mp_root(mp, cell, r.lam, k)) for r in found) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [8, 32, 128])
+def test_roots_unchanged_under_complex_trig_half_angles(cell_a, cell_b, cell_c, k, monkeypatch):
+    # the kernel takes sin and cos of a complex half angle from sin, cos, sinh and cosh of
+    # its real and imaginary parts; with complex sin and cos instead, which differ in the
+    # last bits, the search finds the same roots per band, to 1e-12.  Acceptance on
+    # |d Q - 1| <= 1e-10 moved roots of (4.557, 0.5, 0.3) and of the high-contrast cell
+    # across that bound at k = 128
+    cases = [(cell_a, 4.0), (cell_b, 4.0), (cell_c, 4.0), (UnitCell(4.557, 0.5, 0.3), 6.0),
+             (UnitCell(7.353746788861326, 0.2407638817620896, 0.2698829985618346), 4.0)]
+
+    def search(cell, re_max):
+        found = find_resonances(cell, k, Window(0.0, re_max, default_im_floor(cell)))
+        return [r.band_index for r in found], np.array([r.lam for r in found])
+
+    got = [search(*case) for case in cases]
+    for module in (sys.modules["stepslab.monodromy"], stepslab.scattering):
+        monkeypatch.setattr(module, "_half_angles", half_angles_complex_trig)
+    for case, (bands, lams) in zip(cases, got):
+        want_bands, want_lams = search(*case)
+        assert bands == want_bands, case
+        assert np.max(np.abs(lams - want_lams)) <= 1e-12, case
 
 
 def test_audit_counts_near_edge_clusters(cell_a, cell_b, cell_c, monkeypatch):
@@ -574,16 +641,17 @@ def test_find_resonances_deterministic(cell_a):
 
 @pytest.mark.parametrize("k", [1, 2, 7, 64, 256])
 def test_resonance_condition_slope_matches_extended_precision(cell_a, cell_b, cell_c, k):
-    # the residual h = d Q - 1 and Newton's step den/den' on the slab denominator
-    # against mpmath, both built from the one-cell entries and the O(k) Chebyshev
-    # recurrence (den' by mpmath's numerical derivative, Q = (d - r)/(1 - d r));
+    # Newton's step den/den' on the slab denominator, and the residual h = d Q - 1 of
+    # q_recursion, against mpmath, both built from the one-cell entries and the O(k)
+    # Chebyshev recurrence (den' by mpmath's numerical derivative, Q = (d - r)/(1 - d r));
     # at DEEP's Im lam = -5 the entries cancel by 1e9
     mp = pytest.importorskip("mpmath")
     cases = [(cell, (0.37 - 0.21j, 1.9 - 0.0003j, 2.6 - 0.02j, 3.3 - 0.5j))
              for cell in (cell_a, cell_b, cell_c)]
     cases.append((DEEP, (0.3 - 5j, 0.61 - 2j)))
     for cell, lams in cases:
-        h_got, step_got = resolvent._resonance_condition(cell, np.array(lams), k)
+        step_got = resolvent._resonance_condition(cell, np.array(lams), k)
+        h_got = cell.contrast * q_recursion(cell, np.array(lams), k) - 1.0
         with mp.workdps(60):
             b1, b2, x2 = (mp.mpf(v) for v in (cell.b1, cell.b2, cell.x2))
             c = (b2 - b1) / (b2 + b1)
@@ -650,8 +718,8 @@ def test_dedup_matches_one_root_loop(cell_a, cell_b, monkeypatch):
     # reference: the loop that compared each candidate with every kept root
     newton, seen = resolvent._newton_batch, {}
 
-    def recorded(cell, k, seeds):
-        seen["out"] = newton(cell, k, seeds)
+    def recorded(cell, k, seeds, tol):
+        seen["out"] = newton(cell, k, seeds, tol)
         return seen["out"]
     monkeypatch.setattr(resolvent, "_newton_batch", recorded)
     weakest = UnitCell(1.0, 1.00001, 0.3)  # copies of one root 1e-6 to 1.4e-6 apart
@@ -659,12 +727,13 @@ def test_dedup_matches_one_root_loop(cell_a, cell_b, monkeypatch):
                             (cell_a, 128, Window(0.0, 4.0, default_im_floor(cell_a))),
                             (weakest, 16, Window(0.0, 4.0, default_im_floor(weakest)))):
         got = [r.lam for r in find_resonances(cell, k, window)]
-        roots, resid, _ = seen["out"]
+        roots, steps, _ = seen["out"]
         radius = _merge_radius(cell, k, window)
         candidates, kept = 0, []
-        for i in np.argsort(resid, kind="stable"):
+        for i in np.argsort(steps, kind="stable"):  # in the order of the last step's size
             lam = complex(roots[i])
-            if (not np.isfinite(resid[i]) or lam.imag >= resolvent._IM_CEILING
+            if (not steps[i] <= resolvent._STEP_SHARE * radius
+                    or lam.imag >= resolvent._IM_CEILING
                     or not window.im_min - 1e-9 <= lam.imag
                     or not window.re_min - 1e-9 <= lam.real <= window.re_max + 1e-9):
                 continue
@@ -714,14 +783,15 @@ def test_stall_stop_keeps_weak_contrast_roots(k, monkeypatch):
 
 
 def test_stall_stop_cuts_kernel_work(cell_a, monkeypatch):
-    # A at k = 128: 291 915 kernel points when every run goes to the cap or the
-    # tolerance, and 48 628 with the stall stop, each band seeded at its edges, its
-    # k - 1 transmission peaks and the midpoints between them
-    condition, points = resolvent._resonance_condition, [0]
+    # A at k = 128: 92 712 kernel points when every run goes to the cap or its step
+    # bound, and 50 615 with the stall stop, each band seeded at its edges, its
+    # k - 1 transmission peaks and the midpoints between them; the count takes in
+    # Newton's evaluations and the 16 points of each root's certificate circle
+    terms, points = resolvent._slab_terms, [0]
 
-    def counted(cell, lam, k):
+    def counted(cell, lam, k, slope=False):
         points[0] += np.size(lam)
-        return condition(cell, lam, k)
-    monkeypatch.setattr(resolvent, "_resonance_condition", counted)
+        return terms(cell, lam, k, slope)
+    monkeypatch.setattr(resolvent, "_slab_terms", counted)
     find_resonances(cell_a, 128, Window(0.0, 4.0, default_im_floor(cell_a)))
     assert 0 < points[0] <= 55_000
