@@ -326,6 +326,16 @@ def _regime(cell: UnitCell, g: float, dg: float) -> Regime:
     return Regime.BAND if g < 0.0 else Regime.GAP
 
 
+def _larger_multiplier(sign, g, lib):
+    """sign (1 + g +- sqrt(g (g + 2))), the Bloch multiplier of larger modulus (the first on
+    a tie), from the band offset of ``_offset``: cmath for one frequency, numpy for an array."""
+    root = lib.sqrt(g * (g + 2.0))
+    plus, minus = 1.0 + g + root, 1.0 + g - root
+    if lib is np:
+        return sign * np.where(abs(plus) >= abs(minus), plus, minus)
+    return sign * (plus if abs(plus) >= abs(minus) else minus)
+
+
 def _multiplier(cell: UnitCell, lam, lib, half):
     """(mu_plus, regime) at one frequency from ``_half_angles``'s (lam, lib, half), with
     mu = sign (1 + g +- sqrt(g (g + 2))) on the band offset, so nothing cancels near F = +-1.
@@ -334,8 +344,7 @@ def _multiplier(cell: UnitCell, lam, lib, half):
     modulus above the axis, of larger modulus below (the continuation across the bands)."""
     sign, g, dg = _offset(cell, lib, half, slope=True)
     if lib is cmath:
-        root = cmath.sqrt(g * (g + 2.0))
-        big = sign * max(1.0 + g + root, 1.0 + g - root, key=abs)
+        big = _larger_multiplier(sign, g, lib)
         return (1.0 / big if lam.imag > 0.0 else big), None
     regime = _regime(cell, g, dg)
     if regime is Regime.BAND:

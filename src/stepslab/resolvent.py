@@ -23,8 +23,8 @@ import numpy as np
 from .errors import (ContourThroughZeroError, DeterminantOverflowError,
                      EmptyWindowWarning, InvalidRangeError, RecursionPoleError)
 from .medium import UnitCell
-from .monodromy import Band, _cell_count, find_bands
-from .scattering import (_blockwise, _quotient, _slab_terms, _validate_band,
+from .monodromy import Band, _cell_count, _half_angles, _larger_multiplier, _offset, find_bands
+from .scattering import (_blockwise, _closed_s_n, _quotient, _slab_terms, _validate_band,
                          perfect_transmission_frequencies, reflection_k)
 
 #: Roots with Im(lambda) above this are rejected as spurious.
@@ -72,8 +72,8 @@ class Window:
 
 @dataclass(frozen=True)
 class Resonance:
-    """One scattering pole with solver metadata: ``residual`` is the size of the Newton
-    step |den/den'| left at lam, its location error."""
+    """One scattering pole with solver metadata: ``residual`` is the final Newton step
+    |den/den'| at lam, a location error only where it lies above den's rounding."""
 
     lam: complex
     residual: float
@@ -180,6 +180,20 @@ def _resonance_condition(cell: UnitCell, lam, k: int):
         return den / dden
 
 
+@_blockwise
+def _wave_ratio(cell: UnitCell, lam, k: int):
+    """ln r, r the modulus of den's subdominant Bloch wave over its dominant one in
+    den (mu - 1/mu) = mu^k (S - 2/mu) - mu^-k (S - 2 mu), mu the multiplier of larger modulus
+    (``_larger_multiplier``): ln|S - 2 mu| - ln|S - 2/mu| - 2k ln|mu|.  den vanishes only where
+    r = 1.  No Chebyshev power, so it costs the same at every k."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam, lib, half = _half_angles(cell, lam)
+        s, _ = _closed_s_n(cell, lam, lib, half)
+        mu = _larger_multiplier(*_offset(cell, lib, half), lib)
+        return (np.log(np.abs(s - 2.0 * mu)) - np.log(np.abs(s - 2.0 / mu))
+                - 2.0 * k * np.log(np.abs(mu)))
+
+
 def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray, tol: float):
     """Vectorized Newton on den, the entire denominator of r_k, each step den/den' from one
     kernel call (``_resonance_condition``), with two stops.
@@ -189,7 +203,7 @@ def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray, tol: float):
     best, or that would move it by at most 4 ulps.  Short of tol, a run stalls once
     _STALL_STEPS steps in a row have not brought |step| below half its best so far, and
     stops there or at _NEWTON_MAX_ITER.  Returns the last iterates, the size of the step
-    each would take next (its location error) and their step counts.
+    each would take next and their step counts.
     """
     z = seeds.astype(complex)
     step = _resonance_condition(cell, z, k)
@@ -249,13 +263,17 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     resonances, and the midpoint of every pair of neighbouring markers, about 2k + 1 per
     band; they stop at the first marker past the window's end.  Imaginary parts use the
     ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled rungs, whose deepest reaches
-    the one-cell roots at k = 1.  All seeds run Newton together on the entire slab
-    denominator den (``_newton_batch``).  Runs inside the window whose last step |den/den'|
-    is at most _STEP_SHARE of the merge radius, 1/20 of the smallest spacing of neighbouring
-    markers (edges and peaks) of the searched bands, which follows the roots' own spacing
-    down to its 1/k^2 crowding at the edges, are deduplicated greedily in the order of that
-    step within the radius; each survivor must wind den once on a circle of half the radius
-    (``_winds_once``), and is assigned a band by real-part membership.
+    the one-cell roots at k = 1.  A seed is launched unless den is one Bloch wave there by
+    more than e^(4 _STALL_STEPS) = e^64, ln r < -64 in ``_wave_ratio`` (NaN is launched):
+    far below the roots Newton lifts ln r by about 2 a step, so such a run needs twice the
+    stall stop's budget of steps that do not halve its step.  The launched seeds run Newton
+    together on the entire slab denominator den (``_newton_batch``).  Runs inside the window
+    whose last step |den/den'| is at most _STEP_SHARE of the merge radius, 1/20 of the
+    smallest spacing of neighbouring markers (edges and peaks) of the searched bands, which
+    follows the roots' own spacing down to its 1/k^2 crowding at the edges, are deduplicated
+    greedily in the order of that step within the radius; each survivor must wind den once
+    on a circle of half the radius (``_winds_once``), and is assigned a band by real-part
+    membership.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -286,6 +304,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         marks = np.sort(np.concatenate([marks, 0.5 * (marks[:-1] + marks[1:])]))
         re_parts.append(marks[:np.searchsorted(marks, window.re_max, "right") + 1])
     seeds = (np.concatenate(re_parts)[:, None] + 1j * depths[None, :]).ravel()
+    # not ln r >= bound: a NaN ln r launches its seed
+    seeds = seeds[~(_wave_ratio(cell, seeds, k) < -4.0 * _STALL_STEPS)]
 
     # kept roots lie more than the radius apart, so their circles of half the radius are
     # disjoint and each certified root is a distinct zero of den

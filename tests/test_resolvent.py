@@ -784,9 +784,10 @@ def test_stall_stop_keeps_weak_contrast_roots(k, monkeypatch):
 
 def test_stall_stop_cuts_kernel_work(cell_a, monkeypatch):
     # A at k = 128: 92 712 kernel points when every run goes to the cap or its step
-    # bound, and 50 615 with the stall stop, each band seeded at its edges, its
+    # bound, 50 615 with the stall stop, and 30 997 once the seeds where den is one
+    # Bloch wave by more than e^64 stay unlaunched, each band seeded at its edges, its
     # k - 1 transmission peaks and the midpoints between them; the count takes in
-    # Newton's evaluations and the 16 points of each root's certificate circle
+    # Newton's evaluations (26 821) and the 16 points of each root's certificate circle
     terms, points = resolvent._slab_terms, [0]
 
     def counted(cell, lam, k, slope=False):
@@ -794,4 +795,62 @@ def test_stall_stop_cuts_kernel_work(cell_a, monkeypatch):
         return terms(cell, lam, k, slope)
     monkeypatch.setattr(resolvent, "_slab_terms", counted)
     find_resonances(cell_a, 128, Window(0.0, 4.0, default_im_floor(cell_a)))
-    assert 0 < points[0] <= 55_000
+    assert 0 < points[0] <= 35_000
+
+
+HIGH_CONTRAST = UnitCell(7.353746788861326, 0.2407638817620896, 0.2698829985618346)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 32, 128])
+def test_reach_test_drops_no_root(cell_a, cell_b, cell_c, k, monkeypatch):
+    # seeds where den is one Bloch wave by more than e^64 are not launched; launching
+    # every seed instead finds the same roots per band, to 1e-12 (the high-contrast cell
+    # keeps another copy of one root at k = 2 and 3, 1e-15 away)
+    cases = [(cell_a, 4.0), (cell_b, 4.0), (cell_c, 4.0), (UnitCell(4.557, 0.5, 0.3), 6.0),
+             (HIGH_CONTRAST, 4.0), (UnitCell(1.0, 1.00001, 0.3), 4.0)]
+
+    def search(cell, re_max):
+        found = find_resonances(cell, k, Window(0.0, re_max, default_im_floor(cell)))
+        return [r.band_index for r in found], np.array([r.lam for r in found])
+
+    got = [search(*case) for case in cases]
+    monkeypatch.setattr(resolvent, "_wave_ratio", lambda cell, lam, k: np.zeros(np.shape(lam)))
+    for case, (bands, lams) in zip(cases, got):
+        want_bands, want_lams = search(*case)
+        assert bands == want_bands, case
+        assert np.max(np.abs(lams - want_lams), initial=0.0) <= 1e-12, case
+
+
+@pytest.mark.parametrize("cell", [UnitCell(1.0, 4.0, 0.2), UnitCell(3.8, 1.0, 0.8)])
+def test_newton_climbs_two_per_step_below_the_roots(cell, monkeypatch):
+    # the reach test's premise: from the deepest seed rung at k = 128, 40 to 100 times as
+    # deep as any root, den is one Bloch wave, and each Newton step den/den' lifts
+    # ln r, r = |subdominant wave / dominant wave|, by 2 = 2k |(log mu)' step|
+    k, ratio, seen = 128, resolvent._wave_ratio, []
+
+    def recorded(cell, lam, k):
+        seen.append(lam)
+        return ratio(cell, lam, k)
+    monkeypatch.setattr(resolvent, "_wave_ratio", recorded)
+    find_resonances(cell, k, Window(0.0, 4.0, default_im_floor(cell)))
+    seeds = seen[0]
+    z = seeds[seeds.imag == np.min(seeds.imag)]
+    assert z.size > 2 * k and math.isclose(z[0].imag, -0.7 / (2.0 * cell.b2 * cell.x2))
+    logs = [ratio(cell, z, k)]
+    for _ in range(6):
+        z = z - resolvent._resonance_condition(cell, z, k)
+        logs.append(ratio(cell, z, k))
+    assert np.max(logs[0]) < -4.0 * resolvent._STALL_STEPS
+    assert np.all(np.abs(np.diff(logs, axis=0) - 2.0) <= 0.05)
+
+
+@pytest.mark.xfail(strict=True, reason="the shallowest seed rung sits far deeper than these "
+                   "bands' roots, which Newton never reaches (ROADMAP item 4's seeding defect)")
+def test_high_contrast_bands_whole_at_k8():
+    # bands 3-7 hold 6, 5, 5, 5 and 5 roots; each should hold one per transmission peak
+    k = 8
+    found = find_resonances(HIGH_CONTRAST, k, Window(0.0, 4.0, default_im_floor(HIGH_CONTRAST)))
+    counts = collections.Counter(r.band_index for r in found)
+    bands = find_bands(HIGH_CONTRAST, 4.0)[1:7]
+    assert [counts[b.index] for b in bands] == [
+        len(perfect_transmission_frequencies(HIGH_CONTRAST, b, k)) for b in bands]
