@@ -35,6 +35,9 @@ _NEWTON_MAX_ITER = 50
 #: Steps in a row without halving its best |step| that stop a run short of its step bound.
 _STALL_STEPS = 16
 
+#: Halvings of ln(depth) that put a seed where den's two Bloch waves balance, to about 1%.
+_BALANCE_HALVINGS = 12
+
 #: A run is a root candidate when its last Newton step |den/den'| is at most the merge
 #: radius times this.
 _STEP_SHARE = 0.01
@@ -185,13 +188,28 @@ def _wave_ratio(cell: UnitCell, lam, k: int):
     """ln r, r the modulus of den's subdominant Bloch wave over its dominant one in
     den (mu - 1/mu) = mu^k (S - 2/mu) - mu^-k (S - 2 mu), mu the multiplier of larger modulus
     (``_larger_multiplier``): ln|S - 2 mu| - ln|S - 2/mu| - 2k ln|mu|.  den vanishes only where
-    r = 1.  No Chebyshev power, so it costs the same at every k."""
+    r = 1, the seeds' depth (``_seeds``).  No Chebyshev power, so it costs the same at every k."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam, lib, half = _half_angles(cell, lam)
         s, _ = _closed_s_n(cell, lam, lib, half)
         mu = _larger_multiplier(*_offset(cell, lib, half), lib)
         return (np.log(np.abs(s - 2.0 * mu)) - np.log(np.abs(s - 2.0 / mu))
                 - 2.0 * k * np.log(np.abs(mu)))
+
+
+def _seeds(cell: UnitCell, k: int, re: np.ndarray, im_min: float) -> np.ndarray:
+    """One Newton seed per real part, where ``_wave_ratio`` changes sign on its vertical line:
+    _BALANCE_HALVINGS halvings of ln(depth) over [1e-16, floor], floor the window's capped at
+    twice the one-cell depth 2 max(1, -ln|d|)/(b2 x2), so that an unbounded window works.  NaN
+    counts as below the roots; a line with no sign change ends by the bracket end it points to."""
+    one_cell = 2.0 * max(1.0, -math.log(abs(cell.contrast))) / (cell.b2 * cell.x2)
+    lo = np.full(re.shape, math.log(1e-16))
+    hi = np.full(re.shape, math.log(min(-im_min, one_cell)))
+    for _ in range(_BALANCE_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        above = _wave_ratio(cell, re - 1j * np.exp(mid), k) > 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return re - 1j * np.exp(0.5 * (lo + hi))
 
 
 def _newton_batch(cell: UnitCell, k: int, seeds: np.ndarray, tol: float):
@@ -257,17 +275,12 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
 
     Every band the window touches is searched whole.  Bands are scanned to re_max + 2 pi/tau,
     which covers every such band, since each lies in a Bragg interval [n pi/tau, (n+1) pi/tau]
-    (``find_bands``).  Newton seeds form a rectangular grid.
-    Its real parts are each band's markers: the two edges and the k - 1 perfect-transmission
+    (``find_bands``).  Each band's markers, the two edges and the k - 1 perfect-transmission
     frequencies (at k = 1 the in-band transparency frequencies), which sit right above the
-    resonances, and the midpoint of every pair of neighbouring markers, about 2k + 1 per
-    band; they stop at the first marker past the window's end.  Imaginary parts use the
-    ladder {-0.02, -0.1, -0.3, -0.7}/(2 b2 x2) and k-scaled rungs, whose deepest reaches
-    the one-cell roots at k = 1.  A seed is launched unless den is one Bloch wave there by
-    more than e^(4 _STALL_STEPS) = e^64, ln r < -64 in ``_wave_ratio`` (NaN is launched):
-    far below the roots Newton lifts ln r by about 2 a step, so such a run needs twice the
-    stall stop's budget of steps that do not halve its step.  The launched seeds run Newton
-    together on the entire slab denominator den (``_newton_batch``).  Runs inside the window
+    resonances, and the midpoint of every pair of neighbouring markers, up to the first
+    past the window's end, each get one seed, at the depth where den's two Bloch waves
+    balance (``_seeds``), the line on which every root lies.  The seeds run Newton together
+    on the entire slab denominator den (``_newton_batch``).  Runs inside the window
     whose last step |den/den'| is at most _STEP_SHARE of the merge radius, 1/20 of the
     smallest spacing of neighbouring markers (edges and peaks) of the searched bands, which
     follows the roots' own spacing down to its 1/k^2 crowding at the edges, are deduplicated
@@ -285,17 +298,6 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         warnings.warn("window intersects no spectral band", EmptyWindowWarning, stacklevel=2)
         return []
 
-    im_scale = 1.0 / (2.0 * cell.b2 * cell.x2)
-    # the four deep rungs track the one-cell depth scale; the k-scaled
-    # shallow rungs keep the near-edge roots, whose depth shrinks like
-    # 1/k^2, inside the Newton basin.  The deepest of them starts at k = 1
-    # on the one-cell roots' line ln|d|/(b2 x2), rung -2 ln|d|, where weak
-    # contrast (|d| < 1/e) puts it below rung 2.  A set, not np.unique, which
-    # imports numpy.ma; at k = 10, 2/k^2 is the 0.02 rung.
-    one_cell = max(2.0, -2.0 * math.log(abs(cell.contrast)))
-    rungs = {0.02, 0.1, 0.3, 0.7, *(c / (k * k) for c in (one_cell, 0.6, 0.2))}
-    depths = -np.array(sorted(rungs)) * im_scale
-
     re_parts: list[np.ndarray] = []
     spacing = math.inf
     for b in bands_in:
@@ -303,14 +305,12 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         spacing = min(spacing, float(np.min(np.diff(marks))))
         marks = np.sort(np.concatenate([marks, 0.5 * (marks[:-1] + marks[1:])]))
         re_parts.append(marks[:np.searchsorted(marks, window.re_max, "right") + 1])
-    seeds = (np.concatenate(re_parts)[:, None] + 1j * depths[None, :]).ravel()
-    # not ln r >= bound: a NaN ln r launches its seed
-    seeds = seeds[~(_wave_ratio(cell, seeds, k) < -4.0 * _STALL_STEPS)]
 
     # kept roots lie more than the radius apart, so their circles of half the radius are
     # disjoint and each certified root is a distinct zero of den
     radius = spacing / 20.0
     bound = _STEP_SHARE * radius
+    seeds = _seeds(cell, k, np.concatenate(re_parts), window.im_min)
     roots, resid, iters = _newton_batch(cell, k, seeds, bound)
 
     order = np.argsort(resid, kind="stable")

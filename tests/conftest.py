@@ -6,6 +6,7 @@ import pytest
 
 from stepslab import UnitCell, lyapunov, resonances_k1
 from stepslab.monodromy import _arith, _half_angles, _offset
+from stepslab.resolvent import _wave_ratio
 from stepslab.scattering import _closed_s_n
 
 try:
@@ -77,6 +78,19 @@ def random_cells(seed: int, n: int) -> list[UnitCell]:
     b1 close to b2 gives weak contrast and one-cell roots far below the default floor."""
     rng = np.random.default_rng(seed)
     return [UnitCell(*rng.uniform(0.5, 5.0, 2), rng.uniform(0.1, 0.9)) for _ in range(n)]
+
+
+def ladder_seeds(cell: UnitCell, k: int, re, im_min: float):
+    """The depth ladder that ``resolvent._seeds`` replaced, with its signature: every real
+    part at the rungs {0.02, 0.1, 0.3, 0.7}/(2 b2 x2) and the k-scaled rungs
+    {max(2, -2 ln|d|), 0.6, 0.2}/(2 b2 x2 k^2), less the seeds where den is one Bloch wave
+    by more than e^64 (ln r < -64 in ``_wave_ratio``; a NaN ln r keeps its seed).  The
+    reference that the balance seeds must lose no root against; it ignores the floor."""
+    one_cell = max(2.0, -2.0 * math.log(abs(cell.contrast)))
+    rungs = {0.02, 0.1, 0.3, 0.7, *(c / (k * k) for c in (one_cell, 0.6, 0.2))}
+    depths = -np.array(sorted(rungs)) * (1.0 / (2.0 * cell.b2 * cell.x2))
+    seeds = (re[:, None] + 1j * depths[None, :]).ravel()
+    return seeds[~(_wave_ratio(cell, seeds, k) < -64.0)]
 
 
 def closed_form_k1_row(cell: UnitCell, band, im_floor: float) -> tuple[str, str, str, str]:
