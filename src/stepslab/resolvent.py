@@ -27,9 +27,6 @@ from .monodromy import Band, _cell_count, _half_angles, _larger_multiplier, _off
 from .scattering import (_blockwise, _closed_s_n, _quotient, _slab_terms, _validate_band,
                          perfect_transmission_frequencies, reflection_k)
 
-#: Roots with Im(lambda) above this are rejected as spurious.
-_IM_CEILING = -1e-12
-
 _NEWTON_MAX_ITER = 50
 
 #: Steps in a row without halving its best |step| that stop a run short of its step bound.
@@ -286,7 +283,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     follows the roots' own spacing down to its 1/k^2 crowding at the edges, are deduplicated
     greedily in the order of that step within the radius; each survivor must wind den once
     on a circle of half the radius (``_winds_once``), and is assigned a band by real-part
-    membership.
+    membership.  Kept roots have Im < 0, exactly: den has no zero on the real axis, where
+    |t_k|^2 > 0, nor above it, where r_k is analytic, so no tolerance is needed.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -315,7 +313,7 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
 
     order = np.argsort(resid, kind="stable")
     z = roots[order]
-    inside = ((resid[order] <= bound) & (z.imag < _IM_CEILING)
+    inside = ((resid[order] <= bound) & (z.imag < 0.0)
               & (z.imag >= window.im_min - 1e-9)
               & (z.real >= window.re_min - 1e-9) & (z.real <= window.re_max + 1e-9))
     # kept roots binned by real part at twice the radius: one within the radius of a

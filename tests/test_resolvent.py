@@ -236,12 +236,13 @@ def _complete_band_counts(cell, k, re_max):
     return {b.index: counts[b.index] for b in find_bands(cell, re_max) if b.hi_type is not None}
 
 
-@pytest.mark.parametrize("k", [64, 128, 256, 1024])
+@pytest.mark.parametrize("k", [64, 128, 256, 1024, 16384])
 def test_reference_cells_complete_at_large_k(cell_a, cell_b, cell_c, k):
     # the paper's count, k - 1 or k resonances in every band, as the peak law gives it:
     # bands 1 and 2 (Re <= 4) hold k and k roots on A and C, k and k - 1 on B.  Acceptance
     # on |d Q - 1| <= 1e-10 dropped converged roots there from k = 128 on C and from
-    # k = 256 on A and B, whose residual read 1e-10 to 1e-7 at Newton steps below 6e-16
+    # k = 256 on A and B, whose residual read 1e-10 to 1e-7 at Newton steps below 6e-16;
+    # a ceiling of -1e-12 on Im dropped the shallowest edge roots from k = 16384 on
     for cell, want in ((cell_a, {1: k, 2: k}), (cell_b, {1: k, 2: k - 1}), (cell_c, {1: k, 2: k})):
         assert _complete_band_counts(cell, k, 4.0) == want, cell
 
@@ -427,6 +428,19 @@ def test_band_one_whole_at_k_4096(cell_a, cell_b, cell_c):
     for cell in (cell_a, cell_b, cell_c):
         found = find_resonances(cell, 4096, Window(0.0, 2.0, default_im_floor(cell)))
         assert sum(r.band_index == 1 for r in found) == 4096, cell
+
+
+def test_edge_roots_climb_as_k_cubed(cell_a, cell_b, cell_c):
+    # the paper's limit theorem with its rate: band 1's shallowest root, next to an edge,
+    # climbs like k^-3; from k = 16384 on it lies above -1e-12
+    for cell, limit in ((cell_a, -2.74156), (cell_b, -3.12327), (cell_c, -3.01610)):
+        band = find_bands(cell, 4.0)[0]
+        scaled = []
+        for k in (4096, 16384):
+            found = find_resonances(cell, k, Window(0.0, band.hi, default_im_floor(cell)))
+            scaled.append(k ** 3 * max(r.lam.imag for r in found))
+        assert scaled[1] == pytest.approx(scaled[0], rel=1e-5), cell
+        assert scaled[1] == pytest.approx(limit, rel=1e-5), cell
 
 
 @pytest.mark.parametrize("k", [256, 1024])
@@ -733,7 +747,7 @@ def test_dedup_matches_one_root_loop(cell_a, cell_b, monkeypatch):
         for i in np.argsort(steps, kind="stable"):  # in the order of the last step's size
             lam = complex(roots[i])
             if (not steps[i] <= resolvent._STEP_SHARE * radius
-                    or lam.imag >= resolvent._IM_CEILING
+                    or lam.imag >= 0.0
                     or not window.im_min - 1e-9 <= lam.imag
                     or not window.re_min - 1e-9 <= lam.real <= window.re_max + 1e-9):
                 continue
