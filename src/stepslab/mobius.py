@@ -135,16 +135,16 @@ def iterate_limit(cell: UnitCell, lam: float, z0: complex,
     cancels near the edges; |z_N - z_{N-1}| < 1e-10 counts as converged.
     Hyperbolic and parabolic frequencies converge to a unimodular fixed point (the
     half-infinite reflection coefficient); elliptic frequencies keep rotating and
-    are reported unconverged with z_N.  Where the regime of a two-step cell reads
-    a degenerate edge (``_edge_rule``'s window, about 5e-9 wide at the cell
-    (1, 4, 0.2)), W is taken as the +-I it is at the edge and z0 is returned at
-    once.  The kind is None at a degenerate edge and for a homogeneous cell.
+    are reported unconverged with z_N.  At a degenerate edge of a two-step cell
+    (within 1e-12 of a touching point of two bands) W is taken as the +-I it is
+    there and z0 is returned at once; next to it the point is a band point and is
+    iterated.  The kind is None at a degenerate edge and for a homogeneous cell.
     """
     if abs(z0) >= 1.0:
         raise ValueError(f"start point must lie inside the unit disk, got |z0|={abs(z0)}")
     at, lib, half = _half_angles(cell, float(lam))
     sign, g, dg = _offset(cell, lib, half, slope=True)
-    regime = _regime(cell, g, dg)
+    regime = _regime(cell, at, sign, g, dg)
     if regime is Regime.DEGENERATE_EDGE and cell.contrast != 0.0:
         return IterateResult(True, complex(z0), None)
     kind = None if cell.contrast == 0.0 else _KIND[regime]

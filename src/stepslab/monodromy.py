@@ -19,10 +19,6 @@ import numpy as np
 from .errors import InvalidRangeError
 from .medium import UnitCell
 
-#: |F'| below this at a point with |F| = 1 marks a degenerate edge
-#: (two bands touching).
-EDGE_DERIVATIVE_TOL = 1e-8
-
 #: Bisection tolerance for band edge locations (absolute, in lambda); a real
 #: frequency whose first-order distance to |F| = 1 is within it is on an edge.
 _EDGE_LOCATION_TOL = 1e-12
@@ -68,20 +64,17 @@ class EdgeType(Enum):
 
 @dataclass(frozen=True)
 class BlochData:
-    """Multiplier pair and Weyl functions at one frequency.
+    """Dispersion function, multiplier pair and regime at one frequency.
 
     ``mu_plus`` is the multiplier selected by continuity from the upper
     half plane: contractive for Im lambda > 0, unimodular on bands,
-    the in-disk real root on gaps, and the expanding continuation for
-    Im lambda < 0.  ``m_plus``/``m_minus`` are None when the propagator
-    is +-identity (degenerate edge), where the eigenvectors degenerate.
+    the in-disk real root on gaps, sign(F) on edges, and the expanding
+    continuation for Im lambda < 0.  ``regime`` is None off the real axis.
     """
 
     lyapunov: complex
     mu_plus: complex
     mu_minus: complex
-    m_plus: complex | None
-    m_minus: complex | None
     regime: Regime | None
 
 
@@ -180,23 +173,19 @@ def _entries(cell: UnitCell, half):
             -(p * ss - m * sd) / (2.0 * b1 * b2), (p * cs - m * cd) / (2.0 * b1))
 
 
-def _band_offset(cell: UnitCell, lam, slope: bool = False):
-    """sign(Re F) and g = sign(Re F) F - 1 by half angles, at full precision near F = +-1:
-    F - 1 = (rho-1) sin^2(lam skew/2) - (rho+1) sin^2(lam tau/2), -F - 1 likewise with cos^2.
-    With ``slope``, also dg/dlam = sign(Re F) F' from the same sines and cosines.  One
-    frequency is computed with ``math`` or ``cmath`` and plain branches, an array with numpy."""
-    return _offset(cell, *_half_angles(cell, lam)[1:], slope)
-
-
 def _sides(cell: UnitCell, half):
-    """(F - 1, -F - 1) from ``_half_angles``'s half, by the identities of ``_band_offset``."""
+    """(F - 1, -F - 1) from ``_half_angles``'s half, by the identities of ``_offset``."""
     minus, plus = cell.mismatch_minus_one, cell.mismatch_plus_one
     sa, ca, sb, cb = half
     return minus * (sb * sb) - plus * (sa * sa), minus * (cb * cb) - plus * (ca * ca)
 
 
 def _offset(cell: UnitCell, lib, half, slope: bool = False):
-    """``_band_offset`` from the half-angle sines and cosines of ``_half_angles``."""
+    """sign(Re F) and g = sign(Re F) F - 1 from ``_half_angles``'s (lib, half), at full
+    precision near F = +-1: F - 1 = (rho-1) sin^2(lam skew/2) - (rho+1) sin^2(lam tau/2),
+    -F - 1 likewise with cos^2.  With ``slope``, also dg/dlam = sign(Re F) F' from the same
+    sines and cosines.  One frequency is computed with ``math`` or ``cmath`` and plain
+    branches, an array with numpy."""
     below, above = _sides(cell, half)
     if lib is np:
         sign = np.copysign(1.0, np.real(below - above))
@@ -308,22 +297,25 @@ def transfer_power(cell: UnitCell, lam, k: int) -> MonodromyMatrix:
     return MonodromyMatrix(*entries)
 
 
-def _edge_rule(cell: UnitCell, g, dg):
-    """(edge, degenerate) at real frequencies: the one band, gap and edge rule, on
-    g = |F| - 1 and g' from ``_band_offset``.  An edge has |g| <= tol |g'|
-    (tol = _EDGE_LOCATION_TOL) or g zero to its rounding, 4 eps (rho + 1); a degenerate
-    edge has |g'| < EDGE_DERIVATIVE_TOL and |g| <= tol.  Elsewhere g < 0 is a band."""
-    degenerate = (abs(dg) < EDGE_DERIVATIVE_TOL) & (abs(g) <= _EDGE_LOCATION_TOL)
-    rounding = 4.0 * math.ulp(1.0) * cell.mismatch_plus_one
-    return degenerate | (abs(g) <= _EDGE_LOCATION_TOL * abs(dg) + rounding), degenerate
-
-
-def _regime(cell: UnitCell, g: float, dg: float) -> Regime:
-    """The regime at one real frequency from (g, g') by ``_edge_rule``."""
-    edge, degenerate = _edge_rule(cell, g, dg)
-    if edge:
-        return Regime.DEGENERATE_EDGE if degenerate else Regime.NONDEGENERATE_EDGE
-    return Regime.BAND if g < 0.0 else Regime.GAP
+def _regime(cell: UnitCell, lam: float, sign: float, g: float, dg: float) -> Regime:
+    """The regime at one real frequency lam from ``_offset``'s (sign, g, g').  Where
+    |g| > tol |g'| + 4 eps (rho + 1) (tol = _EDGE_LOCATION_TOL: farther than tol from
+    |F| = 1 in lam to first order, and g above its rounding) the sign of g decides.  Nearer,
+    |lam| (F is even) faces gap m, m pi/tau the end of its Bragg interval with
+    (-1)^m = sign(F).  An open gap (``_gap_edges``) makes lam a non-degenerate edge; a
+    closed gap is a touching point of two bands, so lam is a degenerate edge within tol of
+    its edges (both m pi/tau where its side is not positive there, as ``find_bands``
+    reports them) and a band point elsewhere."""
+    if abs(g) > _EDGE_LOCATION_TOL * abs(dg) + 4.0 * math.ulp(1.0) * cell.mismatch_plus_one:
+        return Regime.BAND if g < 0.0 else Regime.GAP
+    n = math.floor(abs(lam) * cell.transit_time / math.pi)
+    m = n if sign == (-1.0) ** n else n + 1
+    (lo,), (hi,), (gap_open,) = _gap_edges(cell, np.array([m]))
+    if gap_open:
+        return Regime.NONDEGENERATE_EDGE
+    if lo - _EDGE_LOCATION_TOL <= abs(lam) <= hi + _EDGE_LOCATION_TOL:
+        return Regime.DEGENERATE_EDGE
+    return Regime.BAND
 
 
 def _larger_multiplier(sign, g, lib):
@@ -346,9 +338,9 @@ def _multiplier(cell: UnitCell, lam, lib, half):
     if lib is cmath:
         big = _larger_multiplier(sign, g, lib)
         return (1.0 / big if lam.imag > 0.0 else big), None
-    regime = _regime(cell, g, dg)
-    if regime is Regime.BAND:
-        root = math.copysign(math.sqrt(-g * (g + 2.0)), dg)
+    regime = _regime(cell, lam, sign, g, dg)
+    if regime is Regime.BAND:  # a band point next to a touching point may have g rounded above 0
+        root = math.copysign(math.sqrt(max(0.0, -g * (g + 2.0))), dg)
         return complex(sign * (1.0 + g), -sign * root), regime
     if regime is Regime.GAP:
         return 1.0 / complex(sign * (1.0 + g + math.sqrt(g * (g + 2.0)))), regime
@@ -356,7 +348,7 @@ def _multiplier(cell: UnitCell, lam, lib, half):
 
 
 def bloch(cell: UnitCell, lam) -> BlochData:
-    """Multipliers, Weyl functions and spectral regime at one frequency.
+    """Dispersion function, multipliers and spectral regime at one frequency.
 
     One half-angle evaluation gives the entries (``_entries``) and mu_plus and the regime
     (``_multiplier``; the regime is None at complex frequencies); mu_minus is returned as
@@ -364,21 +356,9 @@ def bloch(cell: UnitCell, lam) -> BlochData:
     """
     lam = complex(lam)
     at, lib, half = _half_angles(cell, lam.real if lam.imag == 0.0 else lam)
-    alpha, beta, gamma, delta = _entries(cell, half)
+    alpha, _, _, delta = _entries(cell, half)
     mu_plus, regime = _multiplier(cell, at, lib, half)
-    mu_minus = 1.0 / mu_plus
-
-    if abs(beta) > 1e-12:
-        m_plus = (mu_plus - alpha) / beta
-        m_minus = (mu_minus - alpha) / beta
-    elif abs(gamma) > 1e-12:
-        m_plus = gamma / (mu_plus - delta)
-        m_minus = gamma / (mu_minus - delta)
-    else:
-        # propagator is +-identity: eigenvectors degenerate, Weyl data undefined
-        m_plus = m_minus = None
-
-    return BlochData(complex(0.5 * (alpha + delta)), mu_plus, mu_minus, m_plus, m_minus, regime)
+    return BlochData(complex(0.5 * (alpha + delta)), mu_plus, 1.0 / mu_plus, regime)
 
 
 def _bisect(fn, a, b, tol: float):
@@ -404,14 +384,37 @@ def _bisect(fn, a, b, tol: float):
     return 0.5 * (a + b)
 
 
+def _side(cell: UnitCell, x, m):
+    """(-1)^m F - 1 at the frequencies x (an array), one m (an int array) for each."""
+    return np.where(m % 2 == 1, *_sides(cell, _half_angles(cell, x)[2])[::-1])
+
+
+def _gap_edges(cell: UnitCell, m):
+    """(lo, hi, open) of the gaps m (an int array), gap m the one about the Bragg frequency
+    m pi/tau, where (-1)^m F is at least 1.  Where the gap's side (-1)^m F - 1 is positive
+    at m pi/tau, its two edges, one in each neighbouring Bragg interval, are bisected on it
+    to _EDGE_LOCATION_TOL; elsewhere both are m pi/tau.  The gap is open where its edges
+    lie more than 2 _EDGE_LOCATION_TOL apart.  A closed gap is a touching point of two
+    bands, a degenerate edge, so no derivative decides it; the distance test covers a
+    touching point whose side rounds above 0 (+5e-29 at 39 pi/tau on the cell (3.8, 1, 0.8))."""
+    step = math.pi / cell.transit_time
+    lo, hi = step * m, step * m
+    wide = _side(cell, lo, m) > 0.0  # never at m = 0, where F - 1 is exactly 0
+    at = m[wide]
+    lo[wide], hi[wide] = np.split(_bisect(
+        lambda x: _side(cell, x, np.concatenate([at, at])), step * np.concatenate([at - 1, at]),
+        step * np.concatenate([at, at + 1]), _EDGE_LOCATION_TOL), 2)
+    return lo, hi, hi - lo > 2.0 * _EDGE_LOCATION_TOL
+
+
 def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     """All bands in (0, lambda_max], edges located to 1e-12 and classified.
 
     At the Bragg frequency n pi/tau, (-1)^n F = ((rho+1) - (rho-1)(-1)^n cos(n pi skew/tau))/2
     is at least 1, so band n + 1 lies alone in [n pi/tau, (n+1) pi/tau], where (-1)^n F falls
-    from at least 1 to at most -1.  Gap n is open where its side (-1)^n F - 1 (``_sides``) is
-    positive at n pi/tau; its two edges, one in each neighbouring interval, are bisected on
-    that side.  Elsewhere the gap is closed at n pi/tau.  ``_edge_rule`` types every edge.
+    from at least 1 to at most -1: it runs from gap n's upper edge to gap n + 1's lower edge
+    (``_gap_edges``).  An edge of an open gap is non-degenerate, one of a closed gap
+    degenerate, and an upper edge past lambda_max is clipped to it and typed None.
     A homogeneous cell has no interfaces and is reported as a single clipped band.
     """
     if not 0.0 < lambda_max < math.inf:
@@ -419,24 +422,9 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     if cell.contrast == 0.0:
         return [Band(0.0, lambda_max, EdgeType.DEGENERATE, None, 1)]
 
-    n = np.arange(math.ceil(lambda_max * cell.transit_time / math.pi) + 2)
-    bragg = math.pi / cell.transit_time * n
-
-    def side(x, m):  # (-1)^m F - 1
-        return np.where(m % 2 == 1, *_sides(cell, _half_angles(cell, x)[2])[::-1])
-
-    gap = np.flatnonzero(side(bragg[:-1], n[:-1]) > 0.0)  # open gaps; never at lambda = 0
-    at = np.concatenate([gap, gap])
-    edges = _bisect(lambda x: side(x, at), bragg[np.concatenate([gap - 1, gap])],
-                    bragg[np.concatenate([gap, gap + 1])], _EDGE_LOCATION_TOL)
-    lo, hi = bragg[:-1].copy(), bragg[1:].copy()  # band m + 1 in the m-th Bragg interval
-    hi[gap - 1], lo[gap] = np.split(edges, 2)
-
-    keep = lo < lambda_max
-    lo, hi = lo[keep], np.fmin(hi[keep], lambda_max)
-    # None where the rule finds no edge: a band clipped by the scan limit
-    _, g, dg = _band_offset(cell, np.concatenate([lo, hi]), slope=True)
-    types = [EdgeType.DEGENERATE if deg else EdgeType.NONDEGENERATE if edge else None
-             for edge, deg in zip(*_edge_rule(cell, g, dg))]
-    return [Band(a, b, types[i], types[i + lo.size], i + 1)
-            for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))]
+    lo, hi, gap_open = _gap_edges(cell, np.arange(
+        math.ceil(lambda_max * cell.transit_time / math.pi) + 2))
+    types = [EdgeType.NONDEGENERATE if o else EdgeType.DEGENERATE for o in gap_open.tolist()]
+    # band m + 1 runs in the m-th Bragg interval, from gap m to gap m + 1
+    return [Band(a, min(b, lambda_max), types[i], types[i + 1] if b <= lambda_max else None, i + 1)
+            for i, (a, b) in enumerate(zip(hi[:-1].tolist(), lo[1:].tolist())) if a < lambda_max]

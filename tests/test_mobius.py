@@ -223,13 +223,15 @@ def test_iterate_limit_rejects_outside_disk(cell_a):
 def test_iterate_limit_near_an_edge_matches_the_slab():
     # iterating N times from r1 gives r_{N+1}; within 1e-12 to 1e-3 of A's first
     # edge the Chebyshev argument must not cancel (sign F - 1 formed from the map's
-    # trace loses about 1e-10 here)
+    # trace loses about 1e-10 here), and from 1e-11 of A's touching points pi/0.8
+    # and 2 pi/0.8 the map is not yet +-I: band points, iterated like any other
     cell = UnitCell(1.0, 4.0, 0.2)
     n = 1000
-    for delta in 10.0 ** np.arange(-12, -2):
-        for lam in (EDGE_A1 - delta, EDGE_A1 + delta):
-            got = iterate_limit(cell, lam, r1(cell, lam), n).value
-            assert abs(got - reflection_k(cell, lam, n + 1)) <= 1e-13, lam
+    for edge, smallest in ((EDGE_A1, -12), (math.pi / 0.8, -11), (2.0 * math.pi / 0.8, -11)):
+        for delta in 10.0 ** np.arange(smallest, -2):
+            for lam in (edge - delta, edge + delta):
+                got = iterate_limit(cell, lam, r1(cell, lam), n).value
+                assert abs(got - reflection_k(cell, lam, n + 1)) <= 1e-13, lam
 
 
 def test_iterate_limit_near_a_touching_point_matches_extended_precision():

@@ -10,7 +10,7 @@ from stepslab import (EdgeDegeneracyError, EdgeType, FixedPointKind,
                       InvalidRangeError, Regime, UnitCell, bloch, find_bands,
                       fixed_points, lyapunov, monodromy, spectral_period,
                       transfer_power)
-from stepslab.monodromy import _band_offset, _bisect, _half_angles, chebyshev_pair
+from stepslab.monodromy import _bisect, _half_angles, _offset, chebyshev_pair
 
 from conftest import (DEEP, EDGE_A1, EDGE_A2, EDGE_A3, chebyshev_pair_per_level,
                       lyapunov_curvature, lyapunov_derivative, random_cells, same_bits)
@@ -171,33 +171,30 @@ def test_multiplier_lower_half_expands(cell_a):
         assert abs(bd.mu_plus) > 1.0 > abs(bd.mu_minus)
 
 
-def test_weyl_representations_agree(cell_family):
-    rng = np.random.default_rng(31)
-    for cell in cell_family:
-        for lam in _random_lams(rng, 30, im=(-0.5, 0.5)):
-            m = monodromy(cell, lam)
-            if abs(m.beta) < 1e-6:
-                continue
-            bd = bloch(cell, lam)
-            for mu, mw in ((bd.mu_plus, bd.m_plus), (bd.mu_minus, bd.m_minus)):
-                assert mw == pytest.approx(m.gamma / (mu - m.delta), abs=1e-9)
-
-
-def test_weyl_undefined_at_degenerate_edge(cell_a):
-    bd = bloch(cell_a, EDGE_A3)
-    assert bd.regime is Regime.DEGENERATE_EDGE
-    assert bd.mu_plus == bd.mu_minus == 1.0
-    assert bd.m_plus is None and bd.m_minus is None
+def test_bloch_at_degenerate_edge(cell_a):
+    # EDGE_A3, and 1e-12 from the touching point 0 of two cells whose beta and
+    # mu_plus - delta round to 0 there
+    cases = [(cell_a, EDGE_A3)]
+    for params in ((0.44068951581111326, 0.17401693350199587, 0.4523257919833155),
+                   (1.4943060671229178, 0.36548891231884756, 0.6651150828381049)):
+        cases += [(UnitCell(*params), 1e-12), (UnitCell(*params), -1e-12)]
+    for cell, lam in cases:
+        bd = bloch(cell, lam)
+        assert bd.regime is Regime.DEGENERATE_EDGE, (cell, lam)
+        assert bd.mu_plus == bd.mu_minus == 1.0
 
 
 def test_nondegenerate_edge_regime(cell_a):
     bd = bloch(cell_a, EDGE_A1)
     assert bd.regime is Regime.NONDEGENERATE_EDGE
     assert bd.mu_plus == bd.mu_minus == -1.0
-    assert bd.m_plus is not None  # eigenvector data survives when beta != 0
 
 
-def test_find_bands_reference_cell(cell_a):
+def test_find_bands_reference_cell(cell_a, cell_c):
+    # C's side (-1)^39 F - 1 rounds to +5e-29 at its touching point 39 pi/tau: the
+    # bisected edges lie within 2e-12 of each other, so the gap is closed
+    bands = find_bands(cell_c, 80.0)
+    assert bands[38].hi_type is bands[39].lo_type is EdgeType.DEGENERATE
     bands = find_bands(cell_a, 4.0)
     assert [b.index for b in bands] == [1, 2, 3]
     assert bands[0].lo == 0.0
@@ -248,14 +245,20 @@ def test_one_rule_for_edges_bands_and_gaps(cell_family):
 
 
 def test_near_tangency_is_a_narrow_gap():
-    # F peaks at 1 + 1e-10 near lam = 29.9914 on this low-contrast cell: a gap
-    # about 1.7e-5 wide between two nondegenerate edges, not a touching point
-    cell = UnitCell(1.6754175651385717, 1.6767342320622913, 0.4376704321762081)
-    bands = find_bands(cell, 30.5)
-    left, right = next((a, b) for a, b in zip(bands, bands[1:]) if a.hi < 29.99145 < b.lo)
-    assert right.lo - left.hi == pytest.approx(1.7e-5, rel=0.05)
-    assert left.hi_type is right.lo_type is EdgeType.NONDEGENERATE
-    assert bloch(cell, 0.5 * (left.hi + right.lo)).regime is Regime.GAP
+    # F peaks at 1 + 1e-10 near lam = 29.9914 on the first low-contrast cell: a gap
+    # about 1.7e-5 wide between two nondegenerate edges, not a touching point; the
+    # second cell's gap is 1.7e-6 wide, and |F'| is far below 1e-8 in its middle
+    for params, at, width in (
+            ((1.6754175651385717, 1.6767342320622913, 0.4376704321762081), 29.99145, 1.7e-5),
+            ((1.1898688233539296, 1.189863856868906, 0.46117172989579575), 5.2805799080626909,
+             1.7e-6)):
+        cell = UnitCell(*params)
+        bands = find_bands(cell, at + 0.5)
+        left, right = next((a, b) for a, b in zip(bands, bands[1:]) if a.hi < at < b.lo)
+        assert right.lo - left.hi == pytest.approx(width, rel=0.05)
+        assert left.hi_type is right.lo_type is EdgeType.NONDEGENERATE
+        for lam in (at, 0.5 * (left.hi + right.lo)):
+            assert bloch(cell, lam).regime is Regime.GAP, (cell, lam)
 
 
 def test_find_bands_uniform_cell(uniform):
@@ -456,7 +459,7 @@ def test_chebyshev_pair_independent_of_batch_length(cell_a):
     # kernel must not let that swap the operands of a complex product
     rng = np.random.default_rng(47)
     lams = rng.uniform(0.1, 8.0, 20_000) + 1j * rng.uniform(-1.0, 0.5, 20_000)
-    sign, g = _band_offset(cell_a, lams)
+    sign, g = _offset(cell_a, *_half_angles(cell_a, lams)[1:])
     whole = chebyshev_pair(sign, g, 1000)
     parts = [chebyshev_pair(sign[i:i + 4000], g[i:i + 4000], 1000)
              for i in range(0, lams.size, 4000)]
@@ -493,25 +496,25 @@ def test_chebyshev_pair_matches_per_level_rescale():
     # per-level loop's bit for bit, for arrays and for single frequencies
     for cell, real, cplx in _rescale_corpus(67):
         for lams in (real, cplx):
-            sign, g = _band_offset(cell, lams)
+            sign, g = _offset(cell, *_half_angles(cell, lams)[1:])
             for k in _RESCALE_KS:
                 same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
             for lam in lams[::lams.size // 6].tolist():
-                sign, g = _band_offset(cell, lam)
+                sign, g = _offset(cell, *_half_angles(cell, lam)[1:])
                 for k in _RESCALE_KS:
                     same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
 
 
-def test_chebyshev_pair_rescale_at_the_float_range():
+def test_chebyshev_pair_rescale_at_the_float_range(cell_a):
     # DEEP at Im lam = -20 (|2g| near 1e36) rescales at every level, and so does a
     # batch holding an infinite or NaN frequency: both match the per-level loop
-    sign, g = _band_offset(DEEP, np.linspace(0.1, 8.0, 200) - 20j)
+    sign, g = _offset(DEEP, *_half_angles(DEEP, np.linspace(0.1, 8.0, 200) - 20j)[1:])
     for k in (2, 64, 4096, 10**5):
         same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
     lams = np.array([0.3, np.inf, np.nan, 2.0 - 0.5j, complex(np.inf, 0.0), 1.0 - 1j * np.inf])
     with np.errstate(invalid="ignore", over="ignore"):
         for batch in (lams[:3].real, lams):
-            sign, g = _band_offset(UnitCell(1.0, 4.0, 0.2), batch)
+            sign, g = _offset(cell_a, *_half_angles(cell_a, batch)[1:])
             for k in (2, 64, 4096):
                 same_bits(chebyshev_pair(sign, g, k), chebyshev_pair_per_level(sign, g, k))
 
@@ -568,7 +571,7 @@ def test_doubling_past_half_the_float_range_has_no_nan(cell_a):
     # 1e304), M^1000 has no NaN part and warns of nothing, for arrays and single
     # frequencies, and the pair equals the per-level loop wherever that has no NaN
     lams = 1.3 - 1j * np.arange(200.0, 701.0, 10.0) / cell_a.transit_time
-    sign, g = _band_offset(cell_a, lams)
+    sign, g = _offset(cell_a, *_half_angles(cell_a, lams)[1:])
     assert np.max(np.abs(2.0 * g)) > 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -11,7 +11,7 @@ from stepslab import (Band, BandMismatchError, BoundaryValueWarning, EdgeType,
                       reflection_half_infinite, reflection_k, resonances_k1,
                       transmission_sq, transparency_frequencies)
 
-from stepslab.monodromy import _band_offset
+from stepslab.monodromy import _half_angles, _offset
 from stepslab.scattering import _slab_terms
 
 from conftest import (DEEP, EDGE_A3, mp_den_slope, mp_slab, same_bits,
@@ -164,14 +164,11 @@ def test_half_infinite_degenerate_edge_raises(cell_a):
         reflection_half_infinite(cell_a, EDGE_A3)
 
 
-@pytest.mark.xfail(strict=True, raises=(AssertionError, EdgeDegeneracyError),
-                   reason="the edge rule's absolute rounding term reads points next to a "
-                   "tangency of cell A as edges (ROADMAP item 12)")
 @pytest.mark.parametrize("lam", [1e-9, 1e-8, 3e-8, math.pi / 0.8 - 3e-8, math.pi / 0.8 - 1e-8,
                                  math.pi / 0.8 + 1e-8, math.pi / 0.8 + 3e-8])
 def test_points_next_to_a_tangency_are_band_points(cell_a, lam):
-    # g = |F| - 1 is about -c delta^2 there, below _edge_rule's 4 eps (rho + 1); 5e-8 from 0
-    # and 4e-8 from pi/0.8 both functions already give BAND and the band's |r| = 1/3
+    # g = |F| - 1 is about -c delta^2 there, below its rounding 4 eps (rho + 1), so the
+    # touching point's closed gap decides: a band point, with the band's |r| = 1/3
     assert bloch(cell_a, lam).regime is Regime.BAND
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryValueWarning)
@@ -291,7 +288,7 @@ def test_slab_slope_matches_extended_precision(cell_a, cell_b, cell_c, k):
         same_bits((den, e), (den_t, e_t))
         with mp.workdps(50):
             want = complex(mp_den_slope(mp, cell, lam, k) * mp.ldexp(1, -e))
-        g = abs(_band_offset(cell, lam)[1])
+        g = abs(_offset(cell, *_half_angles(cell, lam)[1:])[1])
         tol = abs(slope_t - want) + (1e-14 + 16.0 * eps / (g * k)) * abs(want)
         assert abs(slope - want) <= tol
 
@@ -308,7 +305,7 @@ def test_slab_slope_limit_where_f_rounds_to_one(cell_a, cell_b, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for cell, lams in cases:
-            assert all(1.0 + _band_offset(cell, x)[1] == 1.0 for x in lams)
+            assert all(1.0 + _offset(cell, *_half_angles(cell, x)[1:])[1] == 1.0 for x in lams)
             for lam in [*lams, np.array(lams), np.array(lams, dtype=complex)]:
                 (*got, slope, e), (*want, slope_t, e_t) = (
                     _slab_terms(cell, lam, k, slope=True), slab_terms_tangent(cell, lam, k))
