@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidRangeError, ValueError, OSError) as err:
         print(f"stepslab: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, StepslabError) as err:
+    except (ArithmeticError, MemoryError, StepslabError) as err:
         print(f"stepslab: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -103,7 +103,7 @@ def fixed_points(cell: UnitCell, lam: float) -> FixedPointAnalysis:
     The kind is the regime of ``_multiplier`` (the half trace is F); a degenerate
     edge raises EdgeDegeneracyError.
     """
-    if cell.contrast == 0.0:
+    if cell.homogeneous:
         raise HomogeneousCellError("the one-cell map of a homogeneous cell is a pure rotation")
     at, lib, half = _half_angles(cell, float(lam))
     mu, regime = _multiplier(cell, at, lib, half)
@@ -145,9 +145,9 @@ def iterate_limit(cell: UnitCell, lam: float, z0: complex,
     at, lib, half = _half_angles(cell, float(lam))
     sign, g, dg = _offset(cell, lib, half, slope=True)
     regime = _regime(cell, at, sign, g, dg)
-    if regime is Regime.DEGENERATE_EDGE and cell.contrast != 0.0:
+    if regime is Regime.DEGENERATE_EDGE and not cell.homogeneous:
         return IterateResult(True, complex(z0), None)
-    kind = None if cell.contrast == 0.0 else _KIND[regime]
+    kind = None if cell.homogeneous else _KIND[regime]
     s, n = _closed_s_n(cell, at, lib, half)
     f = sign * (1.0 + g)
     u, v, _ = chebyshev_pair(sign, g, max_iter)

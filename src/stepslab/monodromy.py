@@ -419,7 +419,7 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     """
     if not 0.0 < lambda_max < math.inf:
         raise InvalidRangeError(f"lambda_max must be finite and positive, got {lambda_max}")
-    if cell.contrast == 0.0:
+    if cell.homogeneous:
         return [Band(0.0, lambda_max, EdgeType.DEGENERATE, None, 1)]
 
     lo, hi, gap_open = _gap_edges(cell, np.arange(

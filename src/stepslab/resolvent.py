@@ -23,7 +23,8 @@ import numpy as np
 from .errors import (ContourThroughZeroError, DeterminantOverflowError,
                      EmptyWindowWarning, InvalidRangeError, RecursionPoleError)
 from .medium import UnitCell
-from .monodromy import Band, _cell_count, _half_angles, _larger_multiplier, _offset, find_bands
+from .monodromy import (_EDGE_LOCATION_TOL, Band, _cell_count, _half_angles, _larger_multiplier,
+                        _offset, find_bands)
 from .scattering import (_blockwise, _closed_s_n, _quotient, _slab_terms, _validate_band,
                          perfect_transmission_frequencies, reflection_k)
 
@@ -140,9 +141,9 @@ def chain_determinants(cell: UnitCell, lam, k: int):
 def resonances_k1(cell: UnitCell, re_max: float, re_min: float = 0.0) -> list[Resonance]:
     """Closed-form one-cell resonances with Re(lam) in [re_min, re_max].
 
-    The one-cell condition d^2 exp(2i lam b2 x2) = 1 puts all roots on
-    the horizontal line Im(lam) = ln|d|/(b2 x2) at Re(lam) = m*pi/(b2 x2),
-    m = 0, 1, 2, ...  A homogeneous cell has no resonances.
+    The one-cell condition d^2 exp(2i lam b2 x2) = 1 puts all roots on the line Im(lam) =
+    ln|d|/(b2 x2) at Re(lam) = m*pi/(b2 x2), m = 0, 1, 2, ..., windowed and labelled as by
+    ``find_resonances``, with slack _EDGE_LOCATION_TOL.  A homogeneous cell has no resonances.
     """
     if cell.homogeneous:
         return []
@@ -154,9 +155,9 @@ def resonances_k1(cell: UnitCell, re_max: float, re_min: float = 0.0) -> list[Re
     bands = find_bands(cell, re_max + spacing)
     out = []
     m = int(math.floor(re_min / spacing))
-    while m * spacing <= re_max + 1e-12:
+    while m * spacing <= re_max + _EDGE_LOCATION_TOL:
         re = m * spacing
-        if re >= re_min - 1e-12:
+        if re >= re_min - _EDGE_LOCATION_TOL:
             lam = complex(re, depth)
             step = abs(_resonance_condition(cell, lam, 1))
             out.append(Resonance(lam, step, _assign_band(bands, re), 0))
@@ -166,7 +167,7 @@ def resonances_k1(cell: UnitCell, re_max: float, re_min: float = 0.0) -> list[Re
 
 def _assign_band(bands: list[Band], re: float) -> int | None:
     for b in bands:
-        if b.contains(re, 1e-6):
+        if b.contains(re, _EDGE_LOCATION_TOL):
             return b.index
     return None
 
@@ -270,28 +271,27 @@ def _slab_den(cell: UnitCell, lam, k: int):
 def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     """All resonances of the k-cell slab inside the window.
 
-    Every band the window touches is searched whole.  Bands are scanned to re_max + 2 pi/tau,
-    which covers every such band, since each lies in a Bragg interval [n pi/tau, (n+1) pi/tau]
-    (``find_bands``).  Each band's markers, the two edges and the k - 1 perfect-transmission
-    frequencies (at k = 1 the in-band transparency frequencies), which sit right above the
-    resonances, and the midpoint of every pair of neighbouring markers, up to the first
-    past the window's end, each get one seed, at the depth where den's two Bloch waves
-    balance (``_seeds``), the line on which every root lies.  The seeds run Newton together
-    on the entire slab denominator den (``_newton_batch``).  Runs inside the window
-    whose last step |den/den'| is at most _STEP_SHARE of the merge radius, 1/20 of the
-    smallest spacing of neighbouring markers (edges and peaks) of the searched bands, which
-    follows the roots' own spacing down to its 1/k^2 crowding at the edges, are deduplicated
-    greedily in the order of that step within the radius; each survivor must wind den once
-    on a circle of half the radius (``_winds_once``), and is assigned a band by real-part
-    membership.  Kept roots have Im < 0, exactly: den has no zero on the real axis, where
-    |t_k|^2 > 0, nor above it, where r_k is analytic, so no tolerance is needed.
+    Bands are scanned to re_max + 2 pi/tau, which covers every band the window touches, since
+    each lies in a Bragg interval [n pi/tau, (n+1) pi/tau] (``find_bands``).  A band's markers
+    are its two edges, its k - 1 perfect-transmission frequencies (at k = 1 its transparency
+    frequencies), which sit right above the resonances, and the midpoint of every pair of
+    neighbours; those from the last below re_min to the first past re_max each get one seed,
+    where den's two Bloch waves balance (``_seeds``), the line on which every root lies.  The
+    seeds run Newton together on the slab denominator den (``_newton_batch``).  Runs in the
+    window whose last step |den/den'| is at most _STEP_SHARE of the merge radius, 1/20 of the
+    smallest spacing of neighbouring edges and peaks of those whole bands, which follows the
+    roots' spacing down to its 1/k^2 crowding at the edges, are deduplicated greedily in the
+    order of that step within the radius; each survivor must wind den once on a circle of half
+    the radius (``_winds_once``).  A root's band is the first within _EDGE_LOCATION_TOL of its
+    real part, the one slack of the window's and the bands' bounds.  Kept roots have Im < 0,
+    exactly: den has no zero on the real axis, where |t_k|^2 > 0, nor above it.
     """
     _cell_count(k)
     if cell.homogeneous:
         return []
     bands = find_bands(cell, window.re_max + 2.0 * math.pi / cell.transit_time)
-    bands_in = [b for b in bands
-                if b.hi > window.re_min - 1e-9 and b.lo < window.re_max + 1e-9]
+    re_lo, re_hi = window.re_min - _EDGE_LOCATION_TOL, window.re_max + _EDGE_LOCATION_TOL
+    bands_in = [b for b in bands if b.hi > re_lo and b.lo < re_hi]
     if not bands_in:
         warnings.warn("window intersects no spectral band", EmptyWindowWarning, stacklevel=2)
         return []
@@ -302,7 +302,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         marks = np.array([b.lo, *perfect_transmission_frequencies(cell, b, k), b.hi])
         spacing = min(spacing, float(np.min(np.diff(marks))))
         marks = np.sort(np.concatenate([marks, 0.5 * (marks[:-1] + marks[1:])]))
-        re_parts.append(marks[:np.searchsorted(marks, window.re_max, "right") + 1])
+        first = max(int(np.searchsorted(marks, window.re_min)) - 1, 0)
+        re_parts.append(marks[first:np.searchsorted(marks, window.re_max, "right") + 1])
 
     # kept roots lie more than the radius apart, so their circles of half the radius are
     # disjoint and each certified root is a distinct zero of den
@@ -314,8 +315,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     order = np.argsort(resid, kind="stable")
     z = roots[order]
     inside = ((resid[order] <= bound) & (z.imag < 0.0)
-              & (z.imag >= window.im_min - 1e-9)
-              & (z.real >= window.re_min - 1e-9) & (z.real <= window.re_max + 1e-9))
+              & (z.imag >= window.im_min - _EDGE_LOCATION_TOL)
+              & (z.real >= re_lo) & (z.real <= re_hi))
     # kept roots binned by real part at twice the radius: one within the radius of a
     # candidate sits in the candidate's bin or a neighbouring one
     kept: list[tuple[complex, float, int]] = []
@@ -437,9 +438,11 @@ def convergence_study(cell: UnitCell, band: Band, k_list: list[int],
                       im_floor: float | None = None) -> list[ConvergenceRow]:
     """Depth of the band's resonances as the slab grows.
 
-    For each k, k = 1 included, ``find_resonances`` searches the band window and the extreme
-    imaginary parts are recorded; max_im must climb toward zero as k increases.  A two-step
-    cell's band must be whole, edges at |F| = 1 (BandMismatchError).
+    For each k, k = 1 included, ``find_resonances`` searches the band widened by
+    _EDGE_LOCATION_TOL, and the roots labelled with the band's index are counted and their
+    extreme imaginary parts recorded; max_im must climb toward zero as k increases.  The root
+    under a touching point belongs to the lower band.  A two-step cell's band must be whole,
+    edges at |F| = 1 (BandMismatchError); the window is checked before any k is searched.
     """
     for k in k_list:
         _cell_count(k)
@@ -449,10 +452,9 @@ def convergence_study(cell: UnitCell, band: Band, k_list: list[int],
         _validate_band(cell, band)
     if im_floor is None:
         im_floor = default_im_floor(cell)
-    pad = 1e-6 + 1e-3 * band.width
-    window = Window(max(band.lo - pad, 0.0), band.hi + pad, im_floor)  # checked before any k
+    window = Window(max(band.lo - _EDGE_LOCATION_TOL, 0.0), band.hi + _EDGE_LOCATION_TOL, im_floor)
     rows = []
     for k in k_list:
-        ims = [r.lam.imag for r in find_resonances(cell, k, window)]
+        ims = [r.lam.imag for r in find_resonances(cell, k, window) if r.band_index == band.index]
         rows.append(ConvergenceRow(k, len(ims), max(ims, default=None), min(ims, default=None)))
     return rows

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stepslab import UnitCell, lyapunov, resonances_k1
-from stepslab.monodromy import _arith, _half_angles, _offset
+from stepslab.monodromy import _EDGE_LOCATION_TOL, _arith, _half_angles, _offset
 from stepslab.resolvent import _wave_ratio
 from stepslab.scattering import _closed_s_n
 
@@ -95,11 +95,11 @@ def ladder_seeds(cell: UnitCell, k: int, re, im_min: float):
 
 def closed_form_k1_row(cell: UnitCell, band, im_floor: float) -> tuple[str, str, str, str]:
     """The k = 1 row of a convergence study as the CLI prints it (k, count, max_im,
-    min_im; %.12g, an empty field for no root), from ``resonances_k1`` over the study's
-    window: the band padded by 1e-6 + 1e-3 width, down to im_floor."""
-    pad = 1e-6 + 1e-3 * band.width
-    ims = [r.lam.imag for r in resonances_k1(cell, band.hi + pad, max(band.lo - pad, 0.0))
-           if r.lam.imag >= im_floor]
+    min_im; %.12g, an empty field for no root), from the ``resonances_k1`` roots labelled
+    with the band, over the band widened by the edge tolerance, down to im_floor."""
+    tol = _EDGE_LOCATION_TOL
+    ims = [r.lam.imag for r in resonances_k1(cell, band.hi + tol, max(band.lo - tol, 0.0))
+           if r.band_index == band.index and r.lam.imag >= im_floor]
     extremes = ("%.12g" % f(ims) if ims else "" for f in (max, min))
     return ("1", str(len(ims)), *extremes)
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -406,6 +410,18 @@ def test_invalid_settings_exit_2_and_preconditions_exit_3(capsys):
     code, _, err = _run(capsys, ["fixed-points", "--b1", "2", "--b2", "2", "--x2", "0.3"])
     assert code == 3
     assert "two-step" in err
+
+
+@pytest.mark.parametrize("argv", [["resonances", *CELL_A, "--k", "1000000000000", "--re-max", "2"],
+                                  ["converge", *CELL_A, "--k-list", "1000000000000"]])
+def test_too_large_k_exits_4_in_one_line(argv):
+    # numpy refuses the k - 1 transmission peaks' targets at once, before allocating them
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "stepslab.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 4 and done.stdout == ""
+    assert done.stderr.startswith("stepslab: numerical failure: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("error", [ContourThroughZeroError("phase winding failed"),

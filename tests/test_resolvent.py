@@ -21,6 +21,7 @@ from stepslab import (BandMismatchError, ContourThroughZeroError, DeterminantOve
 import stepslab
 from stepslab import resolvent
 from stepslab.cli import _fmt
+from stepslab.monodromy import _EDGE_LOCATION_TOL
 
 from conftest import (DEEP, DEPTH_A1, EDGE_A3, chain_recurrence, chain_reflection,
                       closed_form_k1_row, den_winding, half_angles_complex_trig, mp_root,
@@ -644,6 +645,55 @@ def test_convergence_study_homogeneous(uniform):
     band = find_bands(uniform, 5.0)[0]
     rows = convergence_study(uniform, band, [2, 4])
     assert all(row.count == 0 and row.max_im is None for row in rows)
+
+
+@pytest.mark.parametrize("k", [64, 4096])
+def test_convergence_rows_count_their_own_band(cell_a, k):
+    # A's bands 2 and 3 touch at pi/0.8, and the root under it is band 2's.  Each row counts,
+    # and takes its extremes over, only the roots that the search labels with its band
+    bands = find_bands(cell_a, 8.0)[1:3]
+    found = find_resonances(cell_a, k, Window(0.0, bands[1].hi, default_im_floor(cell_a)))
+    for band, want in zip(bands, (k, k - 1)):
+        ims = [r.lam.imag for r in found if r.band_index == band.index]
+        assert tuple(convergence_study(cell_a, band, [k])[0]) == (k, want, max(ims), min(ims))
+
+
+@pytest.mark.parametrize("k", [8, 64])
+def test_windows_above_zero_hold_the_full_search(cell_a, cell_b, cell_c, k, monkeypatch):
+    # a window that starts inside a band holds the Re >= 0 search's roots in it, per band and
+    # to 1e-12, and its seeds start at the band's last marker below re_min, not at its edge
+    seeds, seen = resolvent._seeds, []
+
+    def recorded(cell, k, re, im_min):
+        seen.append(re)
+        return seeds(cell, k, re, im_min)
+    monkeypatch.setattr(resolvent, "_seeds", recorded)
+    rng = np.random.default_rng(32)
+    for cell in (cell_a, cell_b, cell_c):
+        floor = default_im_floor(cell)
+        for band in find_bands(cell, 4.0)[:2]:
+            re_min = band.lo + float(rng.uniform(0.4, 0.6)) * band.width
+            window = Window(re_min, re_min + float(rng.uniform(0.5, 2.0)), floor)
+            got = find_resonances(cell, k, window)
+            lowest = float(np.min(seen[-1]))
+            peaks = [band.lo, *perfect_transmission_frequencies(cell, band, k), band.hi]
+            assert max(p for p in peaks if p < re_min) <= lowest < re_min, (cell, window)
+            want = [r for r in find_resonances(cell, k, Window(0.0, window.re_max, floor))
+                    if r.lam.real >= re_min - _EDGE_LOCATION_TOL]
+            assert (collections.Counter(r.band_index for r in got)
+                    == collections.Counter(r.band_index for r in want)), (cell, window)
+            lams = np.array([r.lam for r in want])
+            assert all(np.min(np.abs(lams - r.lam)) <= 1e-12 for r in got), (cell, window)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: at |d| = 1e-6 the search finds 251 "
+                   "of the 256 zeros that den winds about in band 1")
+def test_weak_contrast_band_one_whole_at_k256():
+    cell, k = UnitCell(1.0, (1 + 1e-6) / (1 - 1e-6), 0.37), 256
+    bands = find_bands(cell, 4.0)
+    gap = 0.5 * (bands[0].hi + bands[1].lo)
+    found = find_resonances(cell, k, Window(0.0, gap, default_im_floor(cell)))
+    assert sum(r.band_index == 1 for r in found) == den_winding(cell, k, -1e-3, gap, -1.0, 1e-3)
 
 
 def test_find_resonances_deterministic(cell_a):
