@@ -20,7 +20,8 @@ from .errors import InvalidRangeError
 from .medium import UnitCell
 
 #: Bisection tolerance for band edge locations (absolute, in lambda); a real
-#: frequency whose first-order distance to |F| = 1 is within it is on an edge.
+#: frequency whose first-order distance to |F| = 1 is within it is on an edge, and a
+#: gap is open where its side is positive this far on either side of its Bragg frequency.
 _EDGE_LOCATION_TOL = 1e-12
 
 
@@ -302,18 +303,17 @@ def _regime(cell: UnitCell, lam: float, sign: float, g: float, dg: float) -> Reg
     |g| > tol |g'| + 4 eps (rho + 1) (tol = _EDGE_LOCATION_TOL: farther than tol from
     |F| = 1 in lam to first order, and g above its rounding) the sign of g decides.  Nearer,
     |lam| (F is even) faces gap m, m pi/tau the end of its Bragg interval with
-    (-1)^m = sign(F).  An open gap (``_gap_edges``) makes lam a non-degenerate edge; a
+    (-1)^m = sign(F).  An open gap (``_gap_open``) makes lam a non-degenerate edge; a
     closed gap is a touching point of two bands, so lam is a degenerate edge within tol of
-    its edges (both m pi/tau where its side is not positive there, as ``find_bands``
-    reports them) and a band point elsewhere."""
+    m pi/tau, where ``find_bands`` reports both its edges, and a band point elsewhere."""
     if abs(g) > _EDGE_LOCATION_TOL * abs(dg) + 4.0 * math.ulp(1.0) * cell.mismatch_plus_one:
         return Regime.BAND if g < 0.0 else Regime.GAP
     n = math.floor(abs(lam) * cell.transit_time / math.pi)
     m = n if sign == (-1.0) ** n else n + 1
-    (lo,), (hi,), (gap_open,) = _gap_edges(cell, np.array([m]))
-    if gap_open:
+    if _gap_open(cell, m):
         return Regime.NONDEGENERATE_EDGE
-    if lo - _EDGE_LOCATION_TOL <= abs(lam) <= hi + _EDGE_LOCATION_TOL:
+    x = math.pi / cell.transit_time * m
+    if x - _EDGE_LOCATION_TOL <= abs(lam) <= x + _EDGE_LOCATION_TOL:
         return Regime.DEGENERATE_EDGE
     return Regime.BAND
 
@@ -361,9 +361,9 @@ def bloch(cell: UnitCell, lam) -> BlochData:
     return BlochData(complex(0.5 * (alpha + delta)), mu_plus, 1.0 / mu_plus, regime)
 
 
-def _bisect(fn, a, b, tol: float):
+def _bisect(fn, a, b):
     """Roots of fn in the brackets [a, b] (arrays; fn maps an array of points,
-    one per bracket, to values), each halved until narrower than tol.
+    one per bracket, to values), each halved until narrower than _EDGE_LOCATION_TOL.
 
     An exact zero at an end or a midpoint is returned as is; a bracket whose
     ends have the same sign raises ValueError.
@@ -374,7 +374,7 @@ def _bisect(fn, a, b, tol: float):
         raise ValueError("bisection bracket does not change sign")
     b[fa == 0.0] = a[fa == 0.0]  # a zero end closes its bracket onto itself
     a[fb == 0.0] = b[fb == 0.0]
-    while np.any(wide := b - a > tol):
+    while np.any(wide := b - a > _EDGE_LOCATION_TOL):
         mid = 0.5 * (a + b)
         fm = fn(mid)
         left = fa * fm < 0.0
@@ -389,22 +389,15 @@ def _side(cell: UnitCell, x, m):
     return np.where(m % 2 == 1, *_sides(cell, _half_angles(cell, x)[2])[::-1])
 
 
-def _gap_edges(cell: UnitCell, m):
-    """(lo, hi, open) of the gaps m (an int array), gap m the one about the Bragg frequency
-    m pi/tau, where (-1)^m F is at least 1.  Where the gap's side (-1)^m F - 1 is positive
-    at m pi/tau, its two edges, one in each neighbouring Bragg interval, are bisected on it
-    to _EDGE_LOCATION_TOL; elsewhere both are m pi/tau.  The gap is open where its edges
-    lie more than 2 _EDGE_LOCATION_TOL apart.  A closed gap is a touching point of two
-    bands, a degenerate edge, so no derivative decides it; the distance test covers a
-    touching point whose side rounds above 0 (+5e-29 at 39 pi/tau on the cell (3.8, 1, 0.8))."""
-    step = math.pi / cell.transit_time
-    lo, hi = step * m, step * m
-    wide = _side(cell, lo, m) > 0.0  # never at m = 0, where F - 1 is exactly 0
-    at = m[wide]
-    lo[wide], hi[wide] = np.split(_bisect(
-        lambda x: _side(cell, x, np.concatenate([at, at])), step * np.concatenate([at - 1, at]),
-        step * np.concatenate([at, at + 1]), _EDGE_LOCATION_TOL), 2)
-    return lo, hi, hi - lo > 2.0 * _EDGE_LOCATION_TOL
+def _gap_open(cell: UnitCell, m):
+    """Whether gap m (an int or an int array), the one about the Bragg frequency m pi/tau
+    where (-1)^m F is at least 1, is open: its side (-1)^m F - 1 is positive at both
+    m pi/tau -+ _EDGE_LOCATION_TOL.  A closed gap is a touching point of two bands, a
+    degenerate edge, so no derivative decides it; two points also close one whose side
+    rounds above 0 at m pi/tau (+5e-29 at 39 pi/tau on the cell (3.8, 1, 0.8))."""
+    x = math.pi / cell.transit_time * m
+    side = _side(cell, np.stack([x - _EDGE_LOCATION_TOL, x + _EDGE_LOCATION_TOL]), m)
+    return np.all(side > 0.0, axis=0)
 
 
 def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
@@ -412,9 +405,10 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
 
     At the Bragg frequency n pi/tau, (-1)^n F = ((rho+1) - (rho-1)(-1)^n cos(n pi skew/tau))/2
     is at least 1, so band n + 1 lies alone in [n pi/tau, (n+1) pi/tau], where (-1)^n F falls
-    from at least 1 to at most -1: it runs from gap n's upper edge to gap n + 1's lower edge
-    (``_gap_edges``).  An edge of an open gap is non-degenerate, one of a closed gap
-    degenerate, and an upper edge past lambda_max is clipped to it and typed None.
+    from at least 1 to at most -1: it runs from gap n's upper edge to gap n + 1's lower edge.
+    An open gap's (``_gap_open``) two edges, one in each neighbouring Bragg interval, are
+    bisected on its side and are non-degenerate; both edges of a closed gap are m pi/tau and
+    degenerate.  An upper edge past lambda_max is clipped to it and typed None.
     A homogeneous cell has no interfaces and is reported as a single clipped band.
     """
     if not 0.0 < lambda_max < math.inf:
@@ -422,8 +416,13 @@ def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:
     if cell.homogeneous:
         return [Band(0.0, lambda_max, EdgeType.DEGENERATE, None, 1)]
 
-    lo, hi, gap_open = _gap_edges(cell, np.arange(
-        math.ceil(lambda_max * cell.transit_time / math.pi) + 2))
+    m = np.arange(math.ceil(lambda_max * cell.transit_time / math.pi) + 2)
+    step = math.pi / cell.transit_time
+    lo, hi, gap_open = step * m, step * m, _gap_open(cell, m)
+    at = m[gap_open]
+    lo[gap_open], hi[gap_open] = np.split(_bisect(
+        lambda x: _side(cell, x, np.concatenate([at, at])), step * np.concatenate([at - 1, at]),
+        step * np.concatenate([at, at + 1])), 2)
     types = [EdgeType.NONDEGENERATE if o else EdgeType.DEGENERATE for o in gap_open.tolist()]
     # band m + 1 runs in the m-th Bragg interval, from gap m to gap m + 1
     return [Band(a, min(b, lambda_max), types[i], types[i + 1] if b <= lambda_max else None, i + 1)

@@ -40,6 +40,10 @@ _BALANCE_HALVINGS = 12
 #: radius times this.
 _STEP_SHARE = 0.01
 
+#: Most roots, k times the bands a window touches, that one search may hold: at about
+#: 1.3 KB per root, 2**21 roots take about 2.7 GB.
+_MAX_ROOTS = 1 << 21
+
 #: Points on the circle, of half the merge radius, on which den must wind once about a root.
 _CIRCLE_POINTS = 16
 
@@ -284,7 +288,9 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     order of that step within the radius; each survivor must wind den once on a circle of half
     the radius (``_winds_once``).  A root's band is the first within _EDGE_LOCATION_TOL of its
     real part, the one slack of the window's and the bands' bounds.  Kept roots have Im < 0,
-    exactly: den has no zero on the real axis, where |t_k|^2 > 0, nor above it.
+    exactly: den has no zero on the real axis, where |t_k|^2 > 0, nor above it.  Where k times
+    the bands the window touches exceeds _MAX_ROOTS, MemoryError is raised before any k-sized
+    array is made.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -295,6 +301,9 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     if not bands_in:
         warnings.warn("window intersects no spectral band", EmptyWindowWarning, stacklevel=2)
         return []
+    if k * len(bands_in) > _MAX_ROOTS:
+        raise MemoryError(f"{k} cells over {len(bands_in)} band(s) exceed the "
+                          f"{_MAX_ROOTS} roots one search may hold")
 
     re_parts: list[np.ndarray] = []
     spacing = math.inf

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (BandMismatchError, BoundaryValueWarning,
                      EdgeDegeneracyError, PoleProximityError)
 from .medium import UnitCell, transparency_frequencies
-from .monodromy import (_EDGE_LOCATION_TOL, Band, Regime, _arith, _bisect, _cell_count,
-                        _half_angles, _multiplier, _offset, chebyshev_pair, lyapunov)
+from .monodromy import (Band, Regime, _arith, _bisect, _cell_count, _half_angles, _multiplier,
+                        _offset, chebyshev_pair, lyapunov)
 
 #: Denominator-to-numerator ratio below which a quotient is treated as a
 #: pole hit (below double-precision meaningfulness).
@@ -160,7 +160,7 @@ def perfect_transmission_frequencies(cell: UnitCell, band: Band, k: int) -> list
     target = np.cos(np.arange(1, k) * math.pi / k)
     target = target[(f_lo - target) * (f_hi - target) <= 0.0]
     roots = _bisect(lambda x: lyapunov(cell, x) - target, np.full(target.size, band.lo),
-                    np.full(target.size, band.hi), _EDGE_LOCATION_TOL)
+                    np.full(target.size, band.hi))
 
     extra = [lam0 for lam0 in transparency_frequencies(cell, band.hi)
              if band.lo + 1e-9 < lam0 < band.hi - 1e-9 and np.all(abs(roots - lam0) > 1e-9)]

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from stepslab import (EdgeDegeneracyError, EdgeType, FixedPointKind,
-                      InvalidRangeError, Regime, UnitCell, bloch, find_bands,
-                      fixed_points, lyapunov, monodromy, spectral_period,
-                      transfer_power)
+from stepslab import (EdgeDegeneracyError, EdgeType, FixedPointKind, InvalidRangeError,
+                      IterateResult, Regime, UnitCell, bloch, find_bands, fixed_points,
+                      iterate_limit, lyapunov, monodromy, reflection_half_infinite,
+                      spectral_period, transfer_power)
 from stepslab.monodromy import _bisect, _half_angles, _offset, chebyshev_pair
 
 from conftest import (DEEP, EDGE_A1, EDGE_A2, EDGE_A3, chebyshev_pair_per_level,
@@ -191,10 +191,11 @@ def test_nondegenerate_edge_regime(cell_a):
 
 
 def test_find_bands_reference_cell(cell_a, cell_c):
-    # C's side (-1)^39 F - 1 rounds to +5e-29 at its touching point 39 pi/tau: the
-    # bisected edges lie within 2e-12 of each other, so the gap is closed
+    # C's side (-1)^39 F - 1 rounds to +5e-29 at its touching point 39 pi/tau but is
+    # negative 1e-12 on either side: the gap is closed, both its edges are 39 pi/tau
     bands = find_bands(cell_c, 80.0)
     assert bands[38].hi_type is bands[39].lo_type is EdgeType.DEGENERATE
+    assert bands[38].hi == bands[39].lo == math.pi / cell_c.transit_time * 39
     bands = find_bands(cell_a, 4.0)
     assert [b.index for b in bands] == [1, 2, 3]
     assert bands[0].lo == 0.0
@@ -205,6 +206,27 @@ def test_find_bands_reference_cell(cell_a, cell_c):
     assert bands[0].hi_type is EdgeType.NONDEGENERATE
     assert bands[1].hi_type is EdgeType.DEGENERATE
     assert bands[2].hi_type is None  # clipped at lambda_max
+
+
+def test_regime_needs_no_bisection(cell_a, cell_c, monkeypatch):
+    # next to A's open edge, at its touching point pi/0.8 and at C's touching point
+    # 39 pi/tau, whose side rounds above 0, the regime and the disk map's kind come
+    # from the faced gap's side at two points, with every bisection failing
+    def fail(*args):
+        raise AssertionError("bisection in a regime decision")
+
+    monkeypatch.setattr(sys.modules["stepslab.monodromy"], "_bisect", fail)
+    lam = EDGE_A1
+    assert bloch(cell_a, lam).regime is Regime.NONDEGENERATE_EDGE
+    assert fixed_points(cell_a, lam).kind is FixedPointKind.PARABOLIC
+    assert iterate_limit(cell_a, lam, 0.1 + 0.2j).kind is FixedPointKind.PARABOLIC
+    assert abs(reflection_half_infinite(cell_a, lam)) == pytest.approx(1.0)
+    for cell, lam in ((cell_a, EDGE_A3), (cell_c, math.pi / cell_c.transit_time * 39)):
+        assert bloch(cell, lam).regime is Regime.DEGENERATE_EDGE
+        assert iterate_limit(cell, lam, 0.1 + 0.2j) == IterateResult(True, 0.1 + 0.2j, None)
+        for fn in (fixed_points, reflection_half_infinite):
+            with pytest.raises(EdgeDegeneracyError):
+                fn(cell, lam)
 
 
 def test_find_bands_edge_slopes(cell_a):
@@ -435,7 +457,7 @@ def test_bisect_matches_one_bracket_loop(cell_b):
     bands = [b for b in find_bands(cell_b, 12.0) if b.hi_type is not None]
     targets = np.random.default_rng(41).uniform(-0.99, 0.99, len(bands))
     lo, hi = np.array([b.lo for b in bands]), np.array([b.hi for b in bands])
-    got = _bisect(lambda x: lyapunov(cell_b, x) - targets, lo, hi, 1e-12)
+    got = _bisect(lambda x: lyapunov(cell_b, x) - targets, lo, hi)
     want = [_bisect_one(lambda x: float(lyapunov(cell_b, x)) - t, a, b, 1e-12)
             for t, a, b in zip(targets, lo, hi)]
     assert got.tolist() == want
@@ -446,12 +468,12 @@ def test_bisect_exact_zeros_and_bad_brackets():
     # midpoint come back exactly; the last bracket converges to sqrt(2)
     c = np.array([1.0, 4.0, 0.25, 0.140625, 2.0])
     a, b = np.array([1.0, 0.0, 0.0, 0.0, 1.0]), np.array([3.0, 2.0, 1.0, 1.0, 2.0])
-    got = _bisect(lambda x: x * x - c, a, b, 1e-12)
+    got = _bisect(lambda x: x * x - c, a, b)
     assert got[:4].tolist() == [1.0, 2.0, 0.5, 0.375]
     assert got[4] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert _bisect(lambda x: x, [], [], 1e-12).size == 0
+    assert _bisect(lambda x: x, [], []).size == 0
     with pytest.raises(ValueError, match="sign"):
-        _bisect(lambda x: x * x - c[:2], [1.5, 0.0], [3.0, 3.0], 1e-12)
+        _bisect(lambda x: x * x - c[:2], [1.5, 0.0], [3.0, 3.0])
 
 
 def test_chebyshev_pair_independent_of_batch_length(cell_a):

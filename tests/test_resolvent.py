@@ -590,6 +590,19 @@ def test_empty_window_warns(cell_a):
         assert find_resonances(cell_a, 3, Window(1.3, 2.6, -1.0)) == []
 
 
+def test_search_beyond_memory_raises_before_k_sized_work(cell_a, monkeypatch):
+    # k times the bands the window touches (1 below Re 2, 3 below Re 4) above 2**21
+    # roots raises MemoryError before a band's peaks or seeds are made
+    def fail(*args):
+        raise AssertionError("k-sized work before the memory check")
+
+    monkeypatch.setattr(resolvent, "perfect_transmission_frequencies", fail)
+    monkeypatch.setattr(resolvent, "_seeds", fail)
+    for k, re_max in ((10 ** 9, 2.0), (2 ** 21 + 1, 2.0), (2 ** 21 // 3 + 1, 4.0)):
+        with pytest.raises(MemoryError, match="roots one search may hold"):
+            find_resonances(cell_a, k, Window(0.0, re_max, default_im_floor(cell_a)))
+
+
 def test_homogeneous_has_no_resonances(uniform):
     assert find_resonances(uniform, 5, Window(0.0, 5.0, -2.0)) == []
 
