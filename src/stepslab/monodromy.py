@@ -21,7 +21,7 @@ from .medium import UnitCell
 
 #: Bisection tolerance for band edge locations (absolute, in lambda); a real
 #: frequency whose first-order distance to |F| = 1 is within it is on an edge, and a
-#: gap is open where its side is positive this far on either side of its Bragg frequency.
+#: gap is open where its side is positive this far to one side of its Bragg frequency.
 _EDGE_LOCATION_TOL = 1e-12
 
 
@@ -363,7 +363,7 @@ def bloch(cell: UnitCell, lam) -> BlochData:
 
 def _bisect(fn, a, b):
     """Roots of fn in the brackets [a, b] (arrays; fn maps an array of points,
-    one per bracket, to values), each halved until narrower than _EDGE_LOCATION_TOL.
+    one per bracket, to values), each halved to _EDGE_LOCATION_TOL or, above 8192, one ulp.
 
     An exact zero at an end or a midpoint is returned as is; a bracket whose
     ends have the same sign raises ValueError.
@@ -374,7 +374,8 @@ def _bisect(fn, a, b):
         raise ValueError("bisection bracket does not change sign")
     b[fa == 0.0] = a[fa == 0.0]  # a zero end closes its bracket onto itself
     a[fb == 0.0] = b[fb == 0.0]
-    while np.any(wide := b - a > _EDGE_LOCATION_TOL):
+    tol = np.maximum(_EDGE_LOCATION_TOL, np.spacing(np.maximum(abs(a), abs(b))))
+    while np.any(wide := b - a > tol):
         mid = 0.5 * (a + b)
         fm = fn(mid)
         left = fa * fm < 0.0
@@ -390,14 +391,15 @@ def _side(cell: UnitCell, x, m):
 
 
 def _gap_open(cell: UnitCell, m):
-    """Whether gap m (an int or an int array), the one about the Bragg frequency m pi/tau
-    where (-1)^m F is at least 1, is open: its side (-1)^m F - 1 is positive at both
-    m pi/tau -+ _EDGE_LOCATION_TOL.  A closed gap is a touching point of two bands, a
-    degenerate edge, so no derivative decides it; two points also close one whose side
-    rounds above 0 at m pi/tau (+5e-29 at 39 pi/tau on the cell (3.8, 1, 0.8))."""
+    """Whether gap m (an int or an int array), about the Bragg frequency x = m pi/tau where
+    (-1)^m F >= 1, is open: its side (-1)^m F - 1 is positive at x and at x - d or x + d,
+    d = _EDGE_LOCATION_TOL or one ulp of x if larger.  So a closed gap, a touching point of two
+    bands that no derivative decides, has both edges within d of x, however off centre x lies;
+    x -+ d close one whose side rounds above 0 at x (39 pi/tau on (3.8, 1, 0.8))."""
     x = math.pi / cell.transit_time * m
-    side = _side(cell, np.stack([x - _EDGE_LOCATION_TOL, x + _EDGE_LOCATION_TOL]), m)
-    return np.all(side > 0.0, axis=0)
+    d = np.maximum(_EDGE_LOCATION_TOL, np.spacing(x))
+    side = _side(cell, np.stack([x - d, x, x + d]), m) > 0.0
+    return side[1] & (side[0] | side[2])
 
 
 def find_bands(cell: UnitCell, lambda_max: float) -> list[Band]:

@@ -40,9 +40,13 @@ _BALANCE_HALVINGS = 12
 #: radius times this.
 _STEP_SHARE = 0.01
 
-#: Most roots, k times the bands a window touches, that one search may hold: at about
-#: 1.3 KB per root, 2**21 roots take about 2.7 GB.
-_MAX_ROOTS = 1 << 21
+#: Most cells one search may take: a band's k - 1 transmission peaks and its markers cost
+#: about 80 B each at once (peak RSS 238 MB at k = 2**21 and 1.37 GB at 2**24, narrow window).
+_MAX_CELLS = 1 << 24
+
+#: Most seeds, markers in the window (2k + 1 per whole band), that one search may run: about
+#: 600 B each with their roots (peak RSS 111 MB for 131 073 seeds, 2.52 GB for 2**22 - 1).
+_MAX_SEEDS = 1 << 22
 
 #: Points on the circle, of half the merge radius, on which den must wind once about a root.
 _CIRCLE_POINTS = 16
@@ -288,9 +292,9 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     order of that step within the radius; each survivor must wind den once on a circle of half
     the radius (``_winds_once``).  A root's band is the first within _EDGE_LOCATION_TOL of its
     real part, the one slack of the window's and the bands' bounds.  Kept roots have Im < 0,
-    exactly: den has no zero on the real axis, where |t_k|^2 > 0, nor above it.  Where k times
-    the bands the window touches exceeds _MAX_ROOTS, MemoryError is raised before any k-sized
-    array is made.
+    exactly: den has no zero on the real axis, where |t_k|^2 > 0, nor above it.  MemoryError is
+    raised before any k-sized array where k exceeds _MAX_CELLS, and before any seed where the
+    window holds more than _MAX_SEEDS markers.
     """
     _cell_count(k)
     if cell.homogeneous:
@@ -301,9 +305,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
     if not bands_in:
         warnings.warn("window intersects no spectral band", EmptyWindowWarning, stacklevel=2)
         return []
-    if k * len(bands_in) > _MAX_ROOTS:
-        raise MemoryError(f"{k} cells over {len(bands_in)} band(s) exceed the "
-                          f"{_MAX_ROOTS} roots one search may hold")
+    if k > _MAX_CELLS:
+        raise MemoryError(f"{k} cells exceed the {_MAX_CELLS} one search may take")
 
     re_parts: list[np.ndarray] = []
     spacing = math.inf
@@ -313,6 +316,8 @@ def find_resonances(cell: UnitCell, k: int, window: Window) -> list[Resonance]:
         marks = np.sort(np.concatenate([marks, 0.5 * (marks[:-1] + marks[1:])]))
         first = max(int(np.searchsorted(marks, window.re_min)) - 1, 0)
         re_parts.append(marks[first:np.searchsorted(marks, window.re_max, "right") + 1])
+        if sum(map(len, re_parts)) > _MAX_SEEDS:
+            raise MemoryError(f"more than {_MAX_SEEDS} seeds in the window at {k} cells")
 
     # kept roots lie more than the radius apart, so their circles of half the radius are
     # disjoint and each certified root is a distinct zero of den

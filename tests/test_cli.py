@@ -416,7 +416,7 @@ def test_invalid_settings_exit_2_and_preconditions_exit_3(capsys):
                                   ["converge", *CELL_A, "--k-list", "1000000000000"],
                                   ["resonances", *CELL_A, "--k", "1000000000", "--re-max", "2"]])
 def test_too_large_k_exits_4_in_one_line(argv):
-    # the search refuses more than 2**21 roots before any k-sized array: at k = 10**9
+    # the search refuses more than 2**24 cells before any k-sized array: at k = 10**9
     # numpy would allocate the k - 1 transmission peaks' targets, more than the host holds
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "stepslab.cli", *argv], env=env,

@@ -208,6 +208,28 @@ def test_find_bands_reference_cell(cell_a, cell_c):
     assert bands[2].hi_type is None  # clipped at lambda_max
 
 
+def test_gap_reads_closed_only_with_both_edges_near_bragg_frequency():
+    # on (1, 20, 0.1/18.1), b2 x2 = tau/10, gap 10 nearly closes with x = 10 pi/tau off
+    # its centre, its lower edge about 6 times farther from x than its upper edge; with
+    # x2 up by 1e-15 the lower edge lies 2.9e-12 below x and the upper 3.2e-13 above,
+    # so the gap is open although its side is not positive at x + 1e-12
+    for dx2, closed in ((0.0, True), (1e-15, False)):
+        cell = UnitCell(1.0, 20.0, 0.1 / 18.1 + dx2)
+        x = math.pi / cell.transit_time * 10
+        below, above = find_bands(cell, 30.0)[9:11]
+        assert below.hi_type is above.lo_type is (
+            EdgeType.DEGENERATE if closed else EdgeType.NONDEGENERATE)
+        assert (below.hi == above.lo == x) if closed else (
+            2e-12 < x - below.hi < 4e-12 and 0.0 < above.lo - x < 1e-12)
+    # above 16384 one ulp of x exceeds 1e-12: C's side rounds above 0 at its touching
+    # point x = 8190 pi/tau but is negative one ulp to either side, so the gap is closed
+    cell = UnitCell(3.8, 1.0, 0.8)
+    x = math.pi / cell.transit_time * 8190
+    below, above = find_bands(cell, 16500.0)[8189:8191]
+    assert below.hi == above.lo == x and below.hi_type is EdgeType.DEGENERATE
+    assert bloch(cell, x).regime is Regime.DEGENERATE_EDGE
+
+
 def test_regime_needs_no_bisection(cell_a, cell_c, monkeypatch):
     # next to A's open edge, at its touching point pi/0.8 and at C's touching point
     # 39 pi/tau, whose side rounds above 0, the regime and the disk map's kind come
@@ -461,6 +483,13 @@ def test_bisect_matches_one_bracket_loop(cell_b):
     want = [_bisect_one(lambda x: float(lyapunov(cell_b, x)) - t, a, b, 1e-12)
             for t, a, b in zip(targets, lo, hi)]
     assert got.tolist() == want
+
+
+def test_bisect_stops_at_one_ulp_beyond_8192():
+    # one ulp there exceeds 1e-12, so a bracket of two neighbouring doubles is final
+    root = 10000.0 + 1.0 / 3.0
+    got = _bisect(lambda x: x - root, [8192.0, 10000.0], [16384.0, 10001.0])
+    assert np.all(np.abs(got - root) <= np.spacing(root))
 
 
 def test_bisect_exact_zeros_and_bad_brackets():

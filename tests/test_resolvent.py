@@ -590,17 +590,40 @@ def test_empty_window_warns(cell_a):
         assert find_resonances(cell_a, 3, Window(1.3, 2.6, -1.0)) == []
 
 
-def test_search_beyond_memory_raises_before_k_sized_work(cell_a, monkeypatch):
-    # k times the bands the window touches (1 below Re 2, 3 below Re 4) above 2**21
-    # roots raises MemoryError before a band's peaks or seeds are made
+def test_too_many_cells_raise_before_k_sized_work(cell_a, monkeypatch):
+    # a k above 2**24 raises MemoryError before a band's peaks are made, narrow window or not
     def fail(*args):
         raise AssertionError("k-sized work before the memory check")
 
     monkeypatch.setattr(resolvent, "perfect_transmission_frequencies", fail)
+    for k, re_min in ((10 ** 9, 0.0), (2 ** 24 + 1, 1.159)):
+        with pytest.raises(MemoryError, match="cells exceed"):
+            find_resonances(cell_a, k, Window(re_min, 1.16, default_im_floor(cell_a)))
+
+
+def test_too_many_seeds_raise_before_any_seed(cell_a, monkeypatch):
+    # the cap counts the markers the window holds, 2k + 1 for a whole band: band 1 of A
+    # (Re <= 2) holds 129 at k = 64 and 131 at k = 65, and bands 1 and 2 (Re <= 4) 130 at
+    # k = 32, so the search raises at band 2 before band 3
+    def fail(*args):
+        raise AssertionError("seeds made beyond the cap")
+
+    floor = default_im_floor(cell_a)
+    monkeypatch.setattr(resolvent, "_MAX_SEEDS", 129)
+    assert len(find_resonances(cell_a, 64, Window(0.0, 2.0, floor))) == 64
     monkeypatch.setattr(resolvent, "_seeds", fail)
-    for k, re_max in ((10 ** 9, 2.0), (2 ** 21 + 1, 2.0), (2 ** 21 // 3 + 1, 4.0)):
-        with pytest.raises(MemoryError, match="roots one search may hold"):
-            find_resonances(cell_a, k, Window(0.0, re_max, default_im_floor(cell_a)))
+    for k, re_max in ((65, 2.0), (32, 4.0)):
+        with pytest.raises(MemoryError, match="seeds in the window"):
+            find_resonances(cell_a, k, Window(0.0, re_max, floor))
+
+
+def test_narrow_window_at_large_k_holds_few_seeds(cell_a):
+    # A's band 1 ends at 1.1591; at k = 2**21 + 1, whose whole band holds 2**22 + 3 markers,
+    # a window over its last 1e-4 holds a few thousand and returns its roots
+    window = Window(1.1590, 1.1592, default_im_floor(cell_a))
+    roots = find_resonances(cell_a, 2 ** 21 + 1, window)
+    assert 1000 < len(roots) < 1 << 14
+    assert all(r.band_index == 1 and window.re_min <= r.lam.real <= 1.1591191 for r in roots)
 
 
 def test_homogeneous_has_no_resonances(uniform):
